@@ -23,6 +23,16 @@ _PAYLOAD_BYTES = 1
 _PAYLOAD_LABELS = 2
 _PAYLOAD_INT = 3
 
+#: The encoding of every dummy slot: address 0, leaf 0, no payload.  Built
+#: once, so padding a bucket and recognising its dummy slots cost no
+#: per-slot serialisation.
+_DUMMY_SLOT = (
+    DUMMY_ADDRESS.to_bytes(8, "little")
+    + (0).to_bytes(8, "little")
+    + bytes([_PAYLOAD_NONE])
+    + (0).to_bytes(4, "little")
+)
+
 
 class BucketCodec:
     """Encode / decode the ``Z`` per-block plaintexts of one bucket."""
@@ -36,8 +46,7 @@ class BucketCodec:
     def encode_block(self, block: Block | None) -> bytes:
         """Serialise one block (``None`` produces a dummy slot)."""
         if block is None or block.is_dummy():
-            header = DUMMY_ADDRESS.to_bytes(8, "little") + (0).to_bytes(8, "little")
-            return header + bytes([_PAYLOAD_NONE]) + (0).to_bytes(4, "little")
+            return _DUMMY_SLOT
         header = block.address.to_bytes(8, "little") + block.leaf.to_bytes(8, "little")
         payload = block.data
         if payload is None:
@@ -88,15 +97,16 @@ class BucketCodec:
     # ------------------------------------------------------------------
     def encode_blocks(self, blocks: list[Block]) -> list[bytes]:
         """Serialise a bucket's real blocks, padding with dummies to ``Z``."""
-        slots: list[bytes] = [self.encode_block(block) for block in blocks]
-        while len(slots) < self._config.z:
-            slots.append(self.encode_block(None))
+        slots = [self.encode_block(block) for block in blocks]
+        slots.extend([_DUMMY_SLOT] * (self._config.z - len(slots)))
         return slots
 
     def decode_blocks(self, plaintexts: list[bytes]) -> list[Block]:
         """Deserialise a bucket, dropping dummy slots."""
         blocks: list[Block] = []
         for plaintext in plaintexts:
+            if plaintext == _DUMMY_SLOT:
+                continue
             block = self.decode_block(plaintext)
             if block is not None:
                 blocks.append(block)

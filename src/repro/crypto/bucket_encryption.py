@@ -27,7 +27,7 @@ from abc import ABC, abstractmethod
 from typing import Sequence
 
 from repro.crypto.keys import ProcessorKey
-from repro.crypto.prf import Keystream, Prf
+from repro.crypto.prf import Keystream, Prf, xor_bytes
 from repro.errors import EncryptionError
 
 #: Bits of overhead per block in the strawman scheme (the encrypted K').
@@ -101,8 +101,7 @@ class StrawmanBucketCipher(BucketCipher):
             # size we account for is identical (the nonce rides in the same
             # 128-bit field conceptually; we serialise it separately here).
             block_prf = Prf(block_key, backend=self._prf.backend)
-            pad = block_prf.keystream(len(plaintext), 0)
-            body = bytes(a ^ b for a, b in zip(plaintext, pad))
+            body = xor_bytes(plaintext, block_prf.keystream(len(plaintext), 0))
             pieces.append(
                 self._nonce.to_bytes(8, "little")
                 + wrapped_key
@@ -129,8 +128,7 @@ class StrawmanBucketCipher(BucketCipher):
             offset += body_len
             block_key = self._keystream.apply(wrapped_key, bucket_id, nonce, 0)
             block_prf = Prf(block_key, backend=self._prf.backend)
-            pad = block_prf.keystream(body_len, 0)
-            plaintexts.append(bytes(a ^ b for a, b in zip(body, pad)))
+            plaintexts.append(xor_bytes(body, block_prf.keystream(body_len, 0)))
         return plaintexts
 
     @staticmethod

@@ -3,9 +3,19 @@
 The paper's bucket encryption generates one-time pads with
 ``AES_K(seed || chunk_index)``.  Pure-Python AES is far too slow to sit on
 the hot path of million-access simulations, so the default PRF here is
-SHA-256 based (HMAC-like keyed hashing).  Both back-ends expose the same
-interface; the AES back-end is used in tests to demonstrate equivalence of
-the construction and is available to callers who want bit-exact AES pads.
+SHA-256 based (HMAC-like keyed hashing): chunk ``i`` of a keystream is
+``SHA-256(key || seed || i)[:16]``.  ORAM behaviour depends only on the
+existence of a keyed PRF, not on which one, so this substitution leaves
+every protocol result unchanged.  The AES back-end keeps the per-chunk
+:meth:`Prf.block` loop as the reference and is available to callers who
+want bit-exact AES pads.
+
+Where the cost goes: the ``sha256`` keystream encodes ``key || seed`` once
+per call and then pays one C-level SHA-256 call per 16-byte chunk, and
+:meth:`Keystream.apply` XORs the whole buffer as one big-integer
+operation.  What remains per bucket is those hash calls themselves.  A
+single XOF call per bucket (``shake_256``) would be cheaper still, but it
+produces different pads and hence a new ciphertext format.
 """
 
 from __future__ import annotations
@@ -16,6 +26,15 @@ from typing import Literal
 from repro.crypto.aes import AES128
 
 PrfBackend = Literal["sha256", "aes"]
+
+#: Bytes per pad chunk (one PRF output, one AES block).
+CHUNK_BYTES = 16
+
+
+def xor_bytes(data: bytes, pad: bytes) -> bytes:
+    """XOR two equal-length byte strings as one big-integer operation."""
+    value = int.from_bytes(data, "little") ^ int.from_bytes(pad, "little")
+    return value.to_bytes(len(data), "little")
 
 
 class Prf:
@@ -66,15 +85,15 @@ class Prf:
         """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        chunks = []
-        produced = 0
-        index = 0
-        while produced < nbytes:
-            chunk = self.block(*seed, index)
-            chunks.append(chunk)
-            produced += len(chunk)
-            index += 1
-        return b"".join(chunks)[:nbytes]
+        chunks = -(-nbytes // CHUNK_BYTES)
+        if self._backend == "aes":
+            return b"".join([self.block(*seed, i) for i in range(chunks)])[:nbytes]
+        # Same bytes as ``block(*seed, index)``, with the key and seed
+        # encoded once per call rather than once per chunk.
+        prefix = self._key + b"".join(s.to_bytes(8, "little", signed=False) for s in seed)
+        sha256 = hashlib.sha256
+        pads = [sha256(prefix + i.to_bytes(8, "little")).digest()[:16] for i in range(chunks)]
+        return b"".join(pads)[:nbytes]
 
 
 class Keystream:
@@ -88,5 +107,4 @@ class Keystream:
 
     def apply(self, data: bytes, *seed: int) -> bytes:
         """XOR ``data`` with the keystream derived from ``seed``."""
-        pad = self._prf.keystream(len(data), *seed)
-        return bytes(a ^ b for a, b in zip(data, pad))
+        return xor_bytes(data, self._prf.keystream(len(data), *seed))

@@ -73,8 +73,9 @@ class PathORAMAuthenticator:
     # Hash computation
     # ------------------------------------------------------------------
     @staticmethod
-    def _node_hash(bucket: bytes, flags: Sequence[int], left: bytes, right: bytes,
-                   reachable: bool) -> bytes:
+    def _node_hash(
+        bucket: bytes, flags: Sequence[int], left: bytes, right: bytes, reachable: bool
+    ) -> bytes:
         """Internal-node hash with the paper's flag gating."""
         gated_bucket = bucket if (flags[0] or flags[1]) and reachable else b""
         gated_left = left if flags[0] else _ZERO_HASH
@@ -101,24 +102,31 @@ class PathORAMAuthenticator:
             return self._root_flags
         return self._flags[bucket_index]
 
-    def _reachable(self, path: Sequence[int], position: int) -> bool:
-        """Whether ``path[position]`` was reachable from the root at the
-        start of this access (all valid bits above it are 1)."""
-        for index in range(position):
-            parent = path[index]
-            child = path[index + 1]
-            direction = self._child_direction(parent, child)
-            if not self._flags_of(parent)[direction]:
-                return False
-        return True
+    def _path_reachability(self, path: Sequence[int]) -> list[bool]:
+        """Whether each bucket on ``path`` was reachable from the root at the
+        start of this access (all valid bits above it are 1).
 
-    def _compute_path_root(self, path: Sequence[int], buckets: Sequence[bytes],
-                           flags_by_node: Sequence[Sequence[int]],
-                           reachability: Sequence[bool]) -> bytes:
+        One top-down pass: a bucket is reachable iff its parent is and the
+        parent's child-valid flag towards it is set.
+        """
+        reachability = [True]
+        reachable = True
+        for parent, child in zip(path, path[1:]):
+            direction = self._child_direction(parent, child)
+            reachable = reachable and bool(self._flags_of(parent)[direction])
+            reachability.append(reachable)
+        return reachability
+
+    def _compute_path_root(
+        self,
+        path: Sequence[int],
+        buckets: Sequence[bytes],
+        flags_by_node: Sequence[Sequence[int]],
+        reachability: Sequence[bool],
+    ) -> bytes:
         """Recompute the root hash from leaf to root along ``path``."""
         levels = len(path) - 1
         current = self._leaf_hash(buckets[levels])
-        self.counters.hashes_written += 0  # accounting happens in update()
         for position in range(levels - 1, -1, -1):
             node = path[position]
             child_on_path = path[position + 1]
@@ -129,7 +137,10 @@ class PathORAMAuthenticator:
             left = current if direction == 0 else sibling_hash
             right = current if direction == 1 else sibling_hash
             current = self._node_hash(
-                buckets[position], flags_by_node[position], left, right,
+                buckets[position],
+                flags_by_node[position],
+                left,
+                right,
                 reachable=reachability[position],
             )
         return current
@@ -149,7 +160,7 @@ class PathORAMAuthenticator:
         if len(buckets) != len(path):
             raise ConfigurationError("bucket count does not match path length")
         flags_by_node = [list(self._flags_of(index)) for index in path]
-        reachability = [self._reachable(path, position) for position in range(len(path))]
+        reachability = self._path_reachability(path)
         recomputed = self._compute_path_root(path, buckets, flags_by_node, reachability)
         self.counters.verifications += 1
         if recomputed != self._root_hash:
@@ -167,7 +178,7 @@ class PathORAMAuthenticator:
             raise ConfigurationError("bucket count does not match path length")
         levels = len(path) - 1
 
-        reachability = [self._reachable(path, position) for position in range(len(path))]
+        reachability = self._path_reachability(path)
 
         # Update child-valid flags along the path (top-down).
         for position in range(levels):
@@ -204,7 +215,10 @@ class PathORAMAuthenticator:
             left = current if direction == 0 else sibling_hash
             right = current if direction == 1 else sibling_hash
             current = self._node_hash(
-                new_buckets[position], flags_by_node[position], left, right,
+                new_buckets[position],
+                flags_by_node[position],
+                left,
+                right,
                 reachable=new_reachability[position],
             )
             if node == 0:

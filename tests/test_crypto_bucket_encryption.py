@@ -13,6 +13,31 @@ from repro.crypto.bucket_encryption import (
 from repro.crypto.keys import ProcessorKey
 from repro.errors import EncryptionError
 
+#: The second ``CounterBucketCipher(ProcessorKey(seed=7)).encrypt`` of bucket
+#: 11 (after one ``[b"x"]``) with the blocks of ``TestCounterScheme``.
+GOLDEN_COUNTER_CIPHERTEXT = (
+    "0200000000000000",  # BucketCounter 2, stored in the clear
+    "0476d54d2dd6e84092308053070f7bde5ed0067889e1291a8bc0fa7f4f00c52c1d52a0a57472ff2abb",
+)
+
+#: ``StrawmanBucketCipher(ProcessorKey(seed=7), rng=random.Random(1))``
+#: encrypting ``[b"alpha", b"beta", b"gamma-gamma"]`` into bucket 4, one
+#: ``nonce || Enc_K(K') || length || body`` group per block.
+GOLDEN_STRAWMAN_CIPHERTEXT = (
+    "0100000000000000",
+    "199e597fef243f4b9ec84f7742d01e5e",
+    "05000000",
+    "a556de566e",
+    "0200000000000000",
+    "b3c52d6a710d7a29c9ed766f9df168a3",
+    "04000000",
+    "d4244d44",
+    "0300000000000000",
+    "a39efb3c9361a62264916d1afed2136a",
+    "0b000000",
+    "75bc329d9d59cf91b02a12",
+)
+
 
 @pytest.fixture
 def key() -> ProcessorKey:
@@ -25,6 +50,14 @@ class TestCounterScheme:
         blocks = [b"block-one", b"block-two-longer", b""]
         ciphertext = cipher.encrypt(3, blocks)
         assert cipher.decrypt(3, ciphertext) == blocks
+
+    def test_ciphertext_matches_golden_vector(self, key):
+        cipher = CounterBucketCipher(key)
+        cipher.encrypt(11, [b"x"])
+        blocks = [b"block-one", b"block-two-longer", b""]
+        ciphertext = cipher.encrypt(11, blocks)
+        assert ciphertext.hex() == "".join(GOLDEN_COUNTER_CIPHERTEXT)
+        assert cipher.decrypt(11, ciphertext) == blocks
 
     def test_randomized_reencryption_changes_ciphertext(self, key):
         cipher = CounterBucketCipher(key)
@@ -77,6 +110,13 @@ class TestStrawmanScheme:
         cipher = StrawmanBucketCipher(key, rng=random.Random(1))
         blocks = [b"alpha", b"beta", b"gamma-gamma"]
         ciphertext = cipher.encrypt(4, blocks)
+        assert cipher.decrypt(4, ciphertext) == blocks
+
+    def test_ciphertext_matches_golden_vector(self, key):
+        cipher = StrawmanBucketCipher(key, rng=random.Random(1))
+        blocks = [b"alpha", b"beta", b"gamma-gamma"]
+        ciphertext = cipher.encrypt(4, blocks)
+        assert ciphertext.hex() == "".join(GOLDEN_STRAWMAN_CIPHERTEXT)
         assert cipher.decrypt(4, ciphertext) == blocks
 
     def test_randomized_reencryption_changes_ciphertext(self, key):

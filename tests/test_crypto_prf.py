@@ -4,6 +4,22 @@ import pytest
 
 from repro.crypto.prf import Keystream, Prf
 
+#: ``Prf(bytes(range(16)), backend).keystream(n, 3, 5).hex()``.  These pin
+#: the pad bytes: a change here changes every stored ciphertext and every
+#: snapshot that carries one.
+GOLDEN_KEYSTREAMS = {
+    ("sha256", 0): "",
+    ("sha256", 1): "17",
+    ("sha256", 16): "178c86b7d9846d62f310f99cfa670d9b",
+    ("sha256", 17): "178c86b7d9846d62f310f99cfa670d9bb4",
+    ("sha256", 33): "178c86b7d9846d62f310f99cfa670d9bb42d4768dc95742959616e8a252bccf07a",
+    ("aes", 0): "",
+    ("aes", 1): "94",
+    ("aes", 16): "94271ec2359e1f90b6d492f4add02f34",
+    ("aes", 17): "94271ec2359e1f90b6d492f4add02f3427",
+    ("aes", 33): "94271ec2359e1f90b6d492f4add02f34276b5254e625529defd83d2a1c12803ea0",
+}
+
 
 class TestPrf:
     def test_block_is_deterministic(self):
@@ -50,6 +66,17 @@ class TestPrf:
         # outputs should not coincide.
         assert Prf(b"k" * 16).block(3) != Prf(b"k" * 16, backend="aes").block(3)
 
+    @pytest.mark.parametrize(("backend", "length"), sorted(GOLDEN_KEYSTREAMS))
+    def test_keystream_matches_golden_vector(self, backend, length):
+        prf = Prf(bytes(range(16)), backend=backend)
+        assert prf.keystream(length, 3, 5).hex() == GOLDEN_KEYSTREAMS[(backend, length)]
+
+    @pytest.mark.parametrize("backend", ["sha256", "aes"])
+    def test_keystream_chunks_are_prf_blocks(self, backend):
+        prf = Prf(b"k" * 16, backend=backend)
+        blocks = b"".join(prf.block(4, 2, index) for index in range(3))
+        assert prf.keystream(40, 4, 2) == blocks[:40]
+
     def test_short_key_padded_for_aes_backend(self):
         prf = Prf(b"key", backend="aes")
         assert len(prf.block(0)) == 16
@@ -62,6 +89,26 @@ class TestKeystream:
         encrypted = stream.apply(data, 42, 7)
         assert encrypted != data
         assert stream.apply(encrypted, 42, 7) == data
+
+    @pytest.mark.parametrize("length", [0, 1, 15, 16, 17, 200])
+    def test_apply_equals_bytewise_xor(self, length):
+        prf = Prf(b"k" * 16)
+        data = bytes((7 * i + 3) % 256 for i in range(length))
+        pad = prf.keystream(length, 11, 12)
+        expected = bytes(a ^ b for a, b in zip(data, pad))
+        stream = Keystream(prf)
+        assert stream.apply(data, 11, 12) == expected
+        applied = stream.apply(bytearray(data), 11, 12)
+        assert type(applied) is bytes
+        assert applied == expected
+
+    def test_apply_keeps_leading_and_trailing_zero_bytes(self):
+        # The big-integer XOR must not drop zero bytes at either end.
+        stream = Keystream(Prf(b"k" * 16))
+        data = b"\x00" * 5 + b"mid" + b"\x00" * 5
+        encrypted = stream.apply(data, 1)
+        assert len(encrypted) == len(data)
+        assert stream.apply(encrypted, 1) == data
 
     def test_different_seed_does_not_decrypt(self):
         stream = Keystream(Prf(b"k" * 16))

@@ -1,16 +1,32 @@
 """Authentication-tree (Section 5) tests, including tamper and replay detection."""
 
+import hashlib
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.config import ORAMConfig
+from repro.api import OramSpec, open_oram
+from repro.core.config import HierarchyConfig, ORAMConfig
 from repro.core.path_oram import PathORAM
+from repro.core.tree import path_indices
 from repro.crypto.bucket_encryption import CounterBucketCipher
 from repro.crypto.keys import ProcessorKey
 from repro.errors import IntegrityError
-from repro.integrity.auth_tree import PathORAMAuthenticator
+from repro.integrity.auth_tree import AuthCounters, PathORAMAuthenticator
 from repro.integrity.storage import IntegrityVerifiedStorage
+
+#: A seeded integrity hierarchical ORAM after ``_seeded_secure_run``: the
+#: SHA-256 of every bucket's ciphertext plus each level's root hash, of
+#: the pickled snapshot, and each level's hash-traffic counters.
+GOLDEN_CIPHERTEXT_AND_ROOTS = "f8b55caacf004fca9deaad9e8f6e80fb4eb1ae6c43d9fec4d6eccf4462cf6493"
+GOLDEN_SNAPSHOT = "41749e1dfa2f3eeba77bd7c0b0ed78bf31a783bd5be429424c92e4122a5d972a"
+GOLDEN_AUTH_COUNTERS = [
+    AuthCounters(sibling_hashes_read=1078, hashes_written=1078, verifications=154, updates=154),
+    AuthCounters(sibling_hashes_read=308, hashes_written=308, verifications=154, updates=154),
+]
 
 
 @pytest.fixture
@@ -46,8 +62,6 @@ class TestAuthenticator:
         # still verify, with the shared buckets holding the written data and
         # the rest never written.
         other_leaf = auth_config.num_leaves - 1
-        from repro.core.tree import path_indices
-
         written = set(path_indices(0, levels))
         other_path = path_indices(other_leaf, levels)
         buckets = [_bucket(1) if index in written else b"" for index in other_path]
@@ -82,8 +96,6 @@ class TestAuthenticator:
         # Write two sibling paths so a sibling hash is actually consulted.
         auth.update_path(0, [_bucket(3) for _ in range(levels + 1)])
         auth.update_path(1, [_bucket(4) for _ in range(levels + 1)])
-        from repro.core.tree import path_indices
-
         sibling_leaf_bucket = path_indices(0, levels)[-1]
         auth.tamper_with_hash(sibling_leaf_bucket, b"\x00" * 32)
         with pytest.raises(IntegrityError):
@@ -137,3 +149,73 @@ class TestIntegrityVerifiedStorage:
         with pytest.raises(IntegrityError):
             for address in range(1, 40):
                 oram.read(address)
+
+
+def _reachable_by_definition(auth, path, position):
+    """Per-position reference: every valid bit above ``path[position]`` is 1."""
+    for parent, child in zip(path[:position], path[1 : position + 1]):
+        flags = auth._root_flags if parent == 0 else auth._flags[parent]
+        if not flags[child - 2 * parent - 1]:
+            return False
+    return True
+
+
+class TestPathReachability:
+    CONFIG = ORAMConfig(working_set_blocks=64, z=2, block_bytes=16, stash_capacity=60)
+    FLAGS = st.lists(st.integers(min_value=0, max_value=1), min_size=2, max_size=2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_single_pass_matches_per_position_definition(self, data):
+        config = self.CONFIG
+        auth = PathORAMAuthenticator(config)
+        auth._root_flags = data.draw(self.FLAGS)
+        auth._flags = data.draw(
+            st.lists(self.FLAGS, min_size=config.num_buckets, max_size=config.num_buckets)
+        )
+        leaf = data.draw(st.integers(min_value=0, max_value=config.num_leaves - 1))
+        path = path_indices(leaf, config.levels)
+        expected = [_reachable_by_definition(auth, path, p) for p in range(len(path))]
+        assert auth._path_reachability(path) == expected
+
+
+def _seeded_secure_run():
+    data = ORAMConfig(working_set_blocks=256, z=4, block_bytes=32, stash_capacity=200)
+    hierarchy = HierarchyConfig(
+        data_oram=data, position_map_block_bytes=32, onchip_position_map_limit_bytes=64
+    )
+    spec = OramSpec(protocol="hierarchical", storage="integrity", plb_entries_per_level=8)
+    oram = open_oram(spec, hierarchy, seed=5)
+    rng = random.Random(9)
+    for step in range(150):
+        address = rng.randrange(1, 257)
+        if rng.random() < 0.4:
+            oram.access(address, "write", bytes([step % 256]) * 32)
+        else:
+            oram.access(address, "read")
+    oram.access_many([1, 2, 3, 2], "read")
+    return oram
+
+
+class TestSeededSecureRunIsBitExact:
+    """Ciphertext, root hashes, snapshot and hash traffic of a seeded run.
+
+    The digests pin the bucket-encryption and authentication-tree output
+    byte for byte, so a speed-up of either cannot silently change a stored
+    ciphertext.  A deliberate format or snapshot-layout change must update
+    them (and bump the snapshot envelope version).
+    """
+
+    def test_ciphertext_root_hashes_snapshot_and_counters(self):
+        oram = _seeded_secure_run()
+        digest = hashlib.sha256()
+        for level in oram.orams:
+            storage = level.storage
+            for index in range(level.config.num_buckets):
+                digest.update(storage.inner.raw_bucket(index) or b"-")
+            digest.update(storage.authenticator.root_hash)
+        assert digest.hexdigest() == GOLDEN_CIPHERTEXT_AND_ROOTS
+        snapshot = pickle.dumps(oram.snapshot(), protocol=4)
+        assert hashlib.sha256(snapshot).hexdigest() == GOLDEN_SNAPSHOT
+        counters = [level.storage.authenticator.counters for level in oram.orams]
+        assert counters == GOLDEN_AUTH_COUNTERS
