@@ -12,6 +12,7 @@ each is tagged so decoding restores the original type.
 
 from __future__ import annotations
 
+import struct
 from typing import Sequence
 
 from repro.core.config import ORAMConfig
@@ -23,15 +24,19 @@ _PAYLOAD_BYTES = 1
 _PAYLOAD_LABELS = 2
 _PAYLOAD_INT = 3
 
+#: Every slot starts with ``address, leaf`` (unsigned 64-bit), the payload
+#: tag (one byte) and the payload length (unsigned 32-bit), little-endian
+#: and unpadded: 21 bytes.
+_HEADER = struct.Struct("<QQBI")
+_HEADER_BYTES = _HEADER.size
+
+#: Bytes of an integer payload (signed 128-bit).
+_INT_BYTES = 16
+
 #: The encoding of every dummy slot: address 0, leaf 0, no payload.  Built
 #: once, so padding a bucket and recognising its dummy slots cost no
 #: per-slot serialisation.
-_DUMMY_SLOT = (
-    DUMMY_ADDRESS.to_bytes(8, "little")
-    + (0).to_bytes(8, "little")
-    + bytes([_PAYLOAD_NONE])
-    + (0).to_bytes(4, "little")
-)
+_DUMMY_SLOT = _HEADER.pack(DUMMY_ADDRESS, 0, _PAYLOAD_NONE, 0)
 
 
 class BucketCodec:
@@ -44,50 +49,55 @@ class BucketCodec:
     # Per-block encoding
     # ------------------------------------------------------------------
     def encode_block(self, block: Block | None) -> bytes:
-        """Serialise one block (``None`` produces a dummy slot)."""
+        """Serialise one block (``None`` produces a dummy slot).
+
+        Raises :class:`EncryptionError` for a payload the format cannot
+        hold: an unsupported type, a label outside ``[0, 2**64)`` or an
+        integer outside signed 128 bits.
+        """
         if block is None or block.is_dummy():
             return _DUMMY_SLOT
-        header = block.address.to_bytes(8, "little") + block.leaf.to_bytes(8, "little")
         payload = block.data
-        if payload is None:
-            return header + bytes([_PAYLOAD_NONE]) + (0).to_bytes(4, "little")
-        if isinstance(payload, (bytes, bytearray)):
-            body = bytes(payload)
-            return header + bytes([_PAYLOAD_BYTES]) + len(body).to_bytes(4, "little") + body
-        if isinstance(payload, int) and not isinstance(payload, bool):
-            body = payload.to_bytes(16, "little", signed=True)
-            return header + bytes([_PAYLOAD_INT]) + len(body).to_bytes(4, "little") + body
-        if isinstance(payload, Sequence):
-            labels = [int(v) for v in payload]
-            body = b"".join(v.to_bytes(8, "little", signed=False) for v in labels)
-            return header + bytes([_PAYLOAD_LABELS]) + len(labels).to_bytes(4, "little") + body
+        try:
+            if payload is None:
+                return _HEADER.pack(block.address, block.leaf, _PAYLOAD_NONE, 0)
+            if isinstance(payload, (bytes, bytearray)):
+                header = _HEADER.pack(block.address, block.leaf, _PAYLOAD_BYTES, len(payload))
+                return header + payload
+            if isinstance(payload, int) and not isinstance(payload, bool):
+                body = payload.to_bytes(_INT_BYTES, "little", signed=True)
+                return _HEADER.pack(block.address, block.leaf, _PAYLOAD_INT, _INT_BYTES) + body
+            if isinstance(payload, Sequence):
+                count = len(payload)
+                header = _HEADER.pack(block.address, block.leaf, _PAYLOAD_LABELS, count)
+                return header + struct.pack(f"<{count}Q", *payload)
+        except (struct.error, OverflowError) as exc:
+            raise EncryptionError(f"block {block.address} does not fit the codec: {exc}") from exc
         raise EncryptionError(f"unsupported block payload type: {type(payload).__name__}")
 
     def decode_block(self, plaintext: bytes) -> Block | None:
         """Deserialise one block; dummies decode to ``None``."""
-        if len(plaintext) < 21:
+        if len(plaintext) < _HEADER_BYTES:
             raise EncryptionError("block plaintext too short")
-        address = int.from_bytes(plaintext[0:8], "little")
-        leaf = int.from_bytes(plaintext[8:16], "little")
-        tag = plaintext[16]
-        length = int.from_bytes(plaintext[17:21], "little")
-        body = plaintext[21:]
+        address, leaf, tag, length = _HEADER.unpack_from(plaintext)
         if address == DUMMY_ADDRESS:
             return None
+        available = len(plaintext) - _HEADER_BYTES
         if tag == _PAYLOAD_NONE:
             data = None
         elif tag == _PAYLOAD_BYTES:
-            if len(body) < length:
+            if available < length:
                 raise EncryptionError("block payload truncated")
-            data = body[:length]
+            data = plaintext[_HEADER_BYTES : _HEADER_BYTES + length]
         elif tag == _PAYLOAD_INT:
-            if len(body) < length:
+            if available < length:
                 raise EncryptionError("integer payload truncated")
-            data = int.from_bytes(body[:length], "little", signed=True)
+            body = plaintext[_HEADER_BYTES : _HEADER_BYTES + length]
+            data = int.from_bytes(body, "little", signed=True)
         elif tag == _PAYLOAD_LABELS:
-            if len(body) < 8 * length:
+            if available < 8 * length:
                 raise EncryptionError("label payload truncated")
-            data = [int.from_bytes(body[8 * i : 8 * i + 8], "little") for i in range(length)]
+            data = list(struct.unpack_from(f"<{length}Q", plaintext, _HEADER_BYTES))
         else:
             raise EncryptionError(f"unknown payload tag {tag}")
         return Block(address=address, leaf=leaf, data=data)

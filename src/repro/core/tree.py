@@ -234,9 +234,7 @@ class FlatTreeStorage(TreeStorage):
     def write_bucket(self, bucket_index: int, blocks: list[Block]) -> None:
         count = len(blocks)
         if count > self._z:
-            raise ConfigurationError(
-                f"bucket {bucket_index} overfilled: {count} > Z={self._z}"
-            )
+            raise ConfigurationError(f"bucket {bucket_index} overfilled: {count} > Z={self._z}")
         base = bucket_index * self._stride
         slots = self._slots
         old = slots[base]
@@ -314,10 +312,16 @@ class EncryptedTreeStorage(TreeStorage):
         return self._cipher
 
     def read_bucket(self, bucket_index: int) -> list[Block]:
-        ciphertext = self._buckets[bucket_index]
-        if ciphertext is None:
-            # Uninitialised DRAM: treated as an empty bucket (the paper's
-            # integrity layer handles "never written" buckets explicitly).
+        return self.decode_bucket(bucket_index, self._buckets[bucket_index])
+
+    def decode_bucket(self, bucket_index: int, ciphertext: bytes | None) -> list[Block]:
+        """Decrypt and decode one bucket's ciphertext into its real blocks.
+
+        ``None`` and ``b""`` (uninitialised DRAM, as :meth:`raw_path`
+        reports it) decode to an empty bucket; the paper's integrity layer
+        handles "never written" buckets explicitly.
+        """
+        if not ciphertext:
             return []
         plaintexts = self._cipher.decrypt(bucket_index, ciphertext)
         return self._codec.decode_blocks(plaintexts)

@@ -7,10 +7,11 @@ package provides:
   against the FIPS-197 test vectors, used where bit-exact AES behaviour is
   wanted.
 * :mod:`repro.crypto.prf` — keyed pseudo-random functions and keystream
-  generators.  The default keystream is SHA-256 based because it is much
-  faster than pure-Python AES; ORAM behaviour depends only on the existence
-  of a keyed PRF, not on which one (the :mod:`repro.crypto.prf` module
-  docstring states the substitution and where its cost goes).
+  generators.  The default keystream is one SHAKE-256 call per pad because
+  it is much faster than pure-Python AES; ORAM behaviour depends only on
+  the existence of a keyed PRF, not on which one (the :mod:`repro.crypto.prf`
+  module docstring states the substitution, the pad formats and where the
+  cost goes).
 * :mod:`repro.crypto.bucket_encryption` — the two bucket encryption schemes
   from Section 2.2 of the paper: the strawman per-block-key scheme and the
   counter-based (BucketCounter) scheme.

@@ -23,6 +23,7 @@ serialisation itself lives in :mod:`repro.core.bucket_codec`.
 from __future__ import annotations
 
 import random
+import struct
 from abc import ABC, abstractmethod
 from typing import Sequence
 
@@ -50,7 +51,7 @@ def counter_bucket_bits(z: int, l_bits: int, u_bits: int, b_bits: int) -> int:
 class BucketCipher(ABC):
     """Interface shared by both bucket encryption schemes."""
 
-    def __init__(self, processor_key: ProcessorKey, backend: str = "sha256") -> None:
+    def __init__(self, processor_key: ProcessorKey, backend: str = "shake256") -> None:
         self._key = processor_key
         self._prf = Prf(processor_key.key_bytes, backend=backend)
         self._keystream = Keystream(self._prf)
@@ -83,7 +84,7 @@ class StrawmanBucketCipher(BucketCipher):
     def __init__(
         self,
         processor_key: ProcessorKey,
-        backend: str = "sha256",
+        backend: str = "shake256",
         rng: random.Random | None = None,
     ) -> None:
         super().__init__(processor_key, backend=backend)
@@ -139,16 +140,21 @@ class StrawmanBucketCipher(BucketCipher):
 class CounterBucketCipher(BucketCipher):
     """Counter-based scheme (Section 2.2.2).
 
-    The whole bucket plaintext is XORed with
-    ``PRF_K(BucketID || BucketCounter || chunk_index)`` and the 64-bit
-    counter is stored in the clear ahead of the ciphertext.  Buckets are
-    always read and written atomically, so one counter per bucket suffices;
-    seeding with BucketID guarantees two buckets never share a pad.
+    The bucket plaintext (block count, one 4-byte length per block, then
+    the block bodies) is XORed with a pad seeded by
+    ``BucketID || BucketCounter``, and the 64-bit counter is stored in the
+    clear ahead of the ciphertext.  With the default ``shake256`` back-end
+    (pad format v2) the pad is ``SHAKE-256(K || BucketID || BucketCounter)``,
+    one XOF call per bucket; with ``sha256`` (v1) or ``aes`` its chunk ``i``
+    is ``PRF_K(BucketID || BucketCounter || i)``, the paper's per-chunk
+    construction.  Buckets are always read and written atomically, so one
+    counter per bucket suffices; seeding with BucketID guarantees two
+    buckets never share a pad.
     """
 
     COUNTER_BYTES = 8
 
-    def __init__(self, processor_key: ProcessorKey, backend: str = "sha256") -> None:
+    def __init__(self, processor_key: ProcessorKey, backend: str = "shake256") -> None:
         super().__init__(processor_key, backend=backend)
         self._counters: dict[int, int] = {}
 
@@ -159,10 +165,9 @@ class CounterBucketCipher(BucketCipher):
     def encrypt(self, bucket_id: int, block_plaintexts: Sequence[bytes]) -> bytes:
         counter = self._counters.get(bucket_id, 0) + 1
         self._counters[bucket_id] = counter
-        lengths = b"".join(len(p).to_bytes(4, "little") for p in block_plaintexts)
-        plaintext = (
-            len(block_plaintexts).to_bytes(4, "little") + lengths + b"".join(block_plaintexts)
-        )
+        count = len(block_plaintexts)
+        lengths = struct.pack(f"<I{count}I", count, *map(len, block_plaintexts))
+        plaintext = lengths + b"".join(block_plaintexts)
         body = self._keystream.apply(plaintext, bucket_id, counter)
         return counter.to_bytes(self.COUNTER_BYTES, "little") + body
 
@@ -175,19 +180,17 @@ class CounterBucketCipher(BucketCipher):
         if len(plaintext) < 4:
             raise EncryptionError("counter bucket plaintext missing block count")
         count = int.from_bytes(plaintext[:4], "little")
-        offset = 4
-        lengths: list[int] = []
-        for _ in range(count):
-            if offset + 4 > len(plaintext):
-                raise EncryptionError("counter bucket plaintext missing block length")
-            lengths.append(int.from_bytes(plaintext[offset : offset + 4], "little"))
-            offset += 4
+        offset = 4 + 4 * count
+        if offset > len(plaintext):
+            raise EncryptionError("counter bucket plaintext missing block length")
         blocks: list[bytes] = []
-        for length in lengths:
-            if offset + length > len(plaintext):
-                raise EncryptionError("counter bucket plaintext truncated block body")
-            blocks.append(plaintext[offset : offset + length])
-            offset += length
+        for length in struct.unpack_from(f"<{count}I", plaintext, 4):
+            end = offset + length
+            blocks.append(plaintext[offset:end])
+            offset = end
+        # Offsets only grow, so checking the last end covers every block.
+        if offset > len(plaintext):
+            raise EncryptionError("counter bucket plaintext truncated block body")
         return blocks
 
     @staticmethod

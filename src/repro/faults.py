@@ -241,6 +241,9 @@ class FaultInjector(TreeStorage):
     def raw_bucket(self, bucket_index: int) -> bytes | None:
         return self._storage.raw_bucket(bucket_index)
 
+    def decode_bucket(self, bucket_index: int, ciphertext: bytes | None):
+        return self._storage.decode_bucket(bucket_index, ciphertext)
+
     @property
     def _buckets(self) -> list[bytes | None]:
         # Adversarial test hooks poke the raw ciphertext list directly.

@@ -1,11 +1,12 @@
 """Tree storage with transparent integrity verification.
 
 :class:`IntegrityVerifiedStorage` wraps an
-:class:`~repro.core.tree.EncryptedTreeStorage` (or any storage exposing raw
-bucket bytes) and a :class:`~repro.integrity.auth_tree.PathORAMAuthenticator`
-so that every path read is verified against the on-chip root hash and every
-path write-back refreshes the authentication tree — the integration
-described in Section 5 and Figure 13.
+:class:`~repro.core.tree.EncryptedTreeStorage` (or any storage exposing its
+``raw_path`` bytes and ``decode_bucket``) and a
+:class:`~repro.integrity.auth_tree.PathORAMAuthenticator` so that every path
+read is verified against the on-chip root hash, and decoded from exactly the
+bytes that were verified, and every path write-back refreshes the
+authentication tree — the integration described in Section 5 and Figure 13.
 """
 
 from __future__ import annotations
@@ -25,9 +26,13 @@ class IntegrityVerifiedStorage(TreeStorage):
     interface last wrote it.
     """
 
-    def __init__(self, config: ORAMConfig, cipher: BucketCipher,
-                 authenticator: PathORAMAuthenticator | None = None,
-                 inner: EncryptedTreeStorage | None = None) -> None:
+    def __init__(
+        self,
+        config: ORAMConfig,
+        cipher: BucketCipher,
+        authenticator: PathORAMAuthenticator | None = None,
+        inner: EncryptedTreeStorage | None = None,
+    ) -> None:
         super().__init__(config)
         # ``inner`` lets callers interpose on the raw device — the fault
         # injector (:mod:`repro.faults`) wraps an EncryptedTreeStorage here
@@ -56,15 +61,16 @@ class IntegrityVerifiedStorage(TreeStorage):
 
     def read_path(self, leaf: int) -> list[Block]:
         """Verify then decrypt every bucket on the path to ``leaf``."""
-        path = self.path(leaf)
         # ``raw_path`` is the device-facing read: a fault-injecting inner
         # storage applies its scheduled corruption there, so verification
-        # sees exactly what "the DRAM" returned.
+        # sees exactly what "the DRAM" returned, and the blocks are decoded
+        # from those same verified bytes.
         raw = self._inner.raw_path(leaf)
         self._auth.verify_path(leaf, raw)
+        decode = self._inner.decode_bucket
         blocks: list[Block] = []
-        for index in path:
-            blocks.extend(self._inner.read_bucket(index))
+        for index, ciphertext in zip(self.path(leaf), raw):
+            blocks.extend(decode(index, ciphertext))
         return blocks
 
     def write_path(self, leaf: int, assignments: dict[int, list[Block]]) -> None:

@@ -13,6 +13,17 @@ def codec() -> BucketCodec:
     return BucketCodec(ORAMConfig(working_set_blocks=64, z=4, block_bytes=16, stash_capacity=60))
 
 
+#: ``codec.encode_blocks(_blocks())`` as hex, one slot per line: the
+#: plaintext layout every bucket cipher encrypts.
+GOLDEN_SLOTS = [
+    "0300000000000000050000000000000001070000007061796c6f6164",
+    "090000000000000001000000000000000203000000"
+    "040000000000000000000000000000000700000000000000",
+    "0c0000000000000000000000000000000310000000efffffffffffffffffffffffffffffff",
+    "140000000000000002000000000000000000000000",
+]
+
+
 def _blocks() -> list[Block]:
     return [
         Block(address=3, leaf=5, data=b"payload"),
@@ -33,6 +44,14 @@ class TestEncodeBlocks:
     def test_dummy_block_encodes_like_an_empty_slot(self, codec):
         dummy = Block(address=DUMMY_ADDRESS, leaf=6, data=b"ignored")
         assert codec.encode_block(dummy) == codec.encode_block(None)
+
+    def test_slots_match_golden_vector(self, codec):
+        assert [slot.hex() for slot in codec.encode_blocks(_blocks())] == GOLDEN_SLOTS
+
+    @pytest.mark.parametrize("value", [2**127 - 1, -(2**127), 0])
+    def test_int_payload_extremes_roundtrip(self, codec, value):
+        block = Block(address=1, leaf=0, data=value)
+        assert codec.decode_block(codec.encode_block(block)) == block
 
     def test_roundtrip_drops_dummy_slots(self, codec):
         blocks = _blocks()
@@ -57,3 +76,15 @@ class TestDecodeBlocksRejectsMalformedSlots:
     def test_empty_slot_raises(self, codec):
         with pytest.raises(EncryptionError):
             codec.decode_blocks([b""])
+
+
+class TestEncodeBlockRejectsUnencodablePayloads:
+    @pytest.mark.parametrize("labels", [[-1, 2], [2**64], [3, 2**64 + 5]])
+    def test_label_outside_64_bits_raises(self, codec, labels):
+        with pytest.raises(EncryptionError):
+            codec.encode_block(Block(address=1, leaf=0, data=labels))
+
+    @pytest.mark.parametrize("value", [2**127, -(2**127) - 1])
+    def test_int_outside_signed_128_bits_raises(self, codec, value):
+        with pytest.raises(EncryptionError):
+            codec.encode_block(Block(address=1, leaf=0, data=value))

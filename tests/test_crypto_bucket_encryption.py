@@ -1,5 +1,6 @@
 """Bucket encryption scheme tests (Section 2.2)."""
 
+import pickle
 import random
 
 import pytest
@@ -13,16 +14,25 @@ from repro.crypto.bucket_encryption import (
 from repro.crypto.keys import ProcessorKey
 from repro.errors import EncryptionError
 
-#: The second ``CounterBucketCipher(ProcessorKey(seed=7)).encrypt`` of bucket
-#: 11 (after one ``[b"x"]``) with the blocks of ``TestCounterScheme``.
+#: The second ``CounterBucketCipher(ProcessorKey(seed=7), backend="sha256")``
+#: ``encrypt`` of bucket 11 (after one ``[b"x"]``) with the blocks of
+#: ``TestCounterScheme``: pad format v1.
 GOLDEN_COUNTER_CIPHERTEXT = (
     "0200000000000000",  # BucketCounter 2, stored in the clear
     "0476d54d2dd6e84092308053070f7bde5ed0067889e1291a8bc0fa7f4f00c52c1d52a0a57472ff2abb",
 )
 
-#: ``StrawmanBucketCipher(ProcessorKey(seed=7), rng=random.Random(1))``
-#: encrypting ``[b"alpha", b"beta", b"gamma-gamma"]`` into bucket 4, one
-#: ``nonce || Enc_K(K') || length || body`` group per block.
+#: The same encryption under the default ``shake256`` back-end (pad format
+#: v2); the ciphertext length is unchanged.
+GOLDEN_COUNTER_CIPHERTEXT_V2 = (
+    "0200000000000000",
+    "99df6e43a15c17ae5b96000d1d2dc41cef5907e2d1ef588b4e1a8525d584a8aa26ef55b2d96a03e3f6",
+)
+
+#: ``StrawmanBucketCipher(ProcessorKey(seed=7), backend="sha256",
+#: rng=random.Random(1))`` encrypting ``[b"alpha", b"beta", b"gamma-gamma"]``
+#: into bucket 4, one ``nonce || Enc_K(K') || length || body`` group per
+#: block: pad format v1.
 GOLDEN_STRAWMAN_CIPHERTEXT = (
     "0100000000000000",
     "199e597fef243f4b9ec84f7742d01e5e",
@@ -38,6 +48,24 @@ GOLDEN_STRAWMAN_CIPHERTEXT = (
     "75bc329d9d59cf91b02a12",
 )
 
+#: The same encryption under the default ``shake256`` back-end (v2).
+GOLDEN_STRAWMAN_CIPHERTEXT_V2 = (
+    "0100000000000000",
+    "df029b01da75ff7a7b2408a83752c504",
+    "05000000",
+    "198ed86940",
+    "0200000000000000",
+    "8d14b7ac69bbf2929d5253b7867932c0",
+    "04000000",
+    "a84562b4",
+    "0300000000000000",
+    "c02a95a3fed969d97cf1eb2c70568c92",
+    "0b000000",
+    "8726960b27e4bcba357db8",
+)
+
+_COUNTER_BLOCKS = [b"block-one", b"block-two-longer", b""]
+
 
 @pytest.fixture
 def key() -> ProcessorKey:
@@ -52,12 +80,36 @@ class TestCounterScheme:
         assert cipher.decrypt(3, ciphertext) == blocks
 
     def test_ciphertext_matches_golden_vector(self, key):
-        cipher = CounterBucketCipher(key)
+        cipher = CounterBucketCipher(key, backend="sha256")
         cipher.encrypt(11, [b"x"])
         blocks = [b"block-one", b"block-two-longer", b""]
         ciphertext = cipher.encrypt(11, blocks)
         assert ciphertext.hex() == "".join(GOLDEN_COUNTER_CIPHERTEXT)
         assert cipher.decrypt(11, ciphertext) == blocks
+
+    def test_default_ciphertext_matches_v2_golden_vector(self, key):
+        cipher = CounterBucketCipher(key)
+        cipher.encrypt(11, [b"x"])
+        ciphertext = cipher.encrypt(11, _COUNTER_BLOCKS)
+        assert ciphertext.hex() == "".join(GOLDEN_COUNTER_CIPHERTEXT_V2)
+        assert cipher.decrypt(11, ciphertext) == _COUNTER_BLOCKS
+
+    @pytest.mark.parametrize("backend", ["shake256", "sha256", "aes"])
+    def test_ciphertext_length_does_not_depend_on_backend(self, key, backend):
+        ciphertext = CounterBucketCipher(key, backend=backend).encrypt(11, _COUNTER_BLOCKS)
+        assert len(ciphertext) == len("".join(GOLDEN_COUNTER_CIPHERTEXT)) // 2
+
+    def test_pickled_v1_cipher_keeps_its_pads(self, key):
+        # A checkpoint taken under pad format v1 pickles its cipher with
+        # ``backend="sha256"``; once restored it must decrypt the stored
+        # ciphertext and go on producing v1 pads, not the v2 default.
+        cipher = CounterBucketCipher(key, backend="sha256")
+        old_ciphertext = cipher.encrypt(11, [b"x"])
+        restored = pickle.loads(pickle.dumps(cipher))
+        assert restored.decrypt(11, old_ciphertext) == [b"x"]
+        ciphertext = restored.encrypt(11, _COUNTER_BLOCKS)
+        assert ciphertext.hex() == "".join(GOLDEN_COUNTER_CIPHERTEXT)
+        assert restored.decrypt(11, ciphertext) == _COUNTER_BLOCKS
 
     def test_randomized_reencryption_changes_ciphertext(self, key):
         cipher = CounterBucketCipher(key)
@@ -113,10 +165,17 @@ class TestStrawmanScheme:
         assert cipher.decrypt(4, ciphertext) == blocks
 
     def test_ciphertext_matches_golden_vector(self, key):
-        cipher = StrawmanBucketCipher(key, rng=random.Random(1))
+        cipher = StrawmanBucketCipher(key, backend="sha256", rng=random.Random(1))
         blocks = [b"alpha", b"beta", b"gamma-gamma"]
         ciphertext = cipher.encrypt(4, blocks)
         assert ciphertext.hex() == "".join(GOLDEN_STRAWMAN_CIPHERTEXT)
+        assert cipher.decrypt(4, ciphertext) == blocks
+
+    def test_default_ciphertext_matches_v2_golden_vector(self, key):
+        cipher = StrawmanBucketCipher(key, rng=random.Random(1))
+        blocks = [b"alpha", b"beta", b"gamma-gamma"]
+        ciphertext = cipher.encrypt(4, blocks)
+        assert ciphertext.hex() == "".join(GOLDEN_STRAWMAN_CIPHERTEXT_V2)
         assert cipher.decrypt(4, ciphertext) == blocks
 
     def test_randomized_reencryption_changes_ciphertext(self, key):

@@ -1,13 +1,22 @@
 """PRF and keystream tests."""
 
+import hashlib
+import pickle
+
 import pytest
 
 from repro.crypto.prf import Keystream, Prf
 
 #: ``Prf(bytes(range(16)), backend).keystream(n, 3, 5).hex()``.  These pin
 #: the pad bytes: a change here changes every stored ciphertext and every
-#: snapshot that carries one.
+#: snapshot that carries one.  ``shake256`` is pad format v2, ``sha256``
+#: the frozen v1 format older checkpoints still decrypt with.
 GOLDEN_KEYSTREAMS = {
+    ("shake256", 0): "",
+    ("shake256", 1): "ec",
+    ("shake256", 16): "eccbd38fb76a45e113e9d6e50d5fbb34",
+    ("shake256", 17): "eccbd38fb76a45e113e9d6e50d5fbb34e6",
+    ("shake256", 33): "eccbd38fb76a45e113e9d6e50d5fbb34e66e91ddda8cc68733562d850a1f3f620e",
     ("sha256", 0): "",
     ("sha256", 1): "17",
     ("sha256", 16): "178c86b7d9846d62f310f99cfa670d9b",
@@ -41,11 +50,11 @@ class TestPrf:
         for length in (0, 1, 15, 16, 17, 100):
             assert len(prf.keystream(length, 9)) == length
 
-    def test_keystream_prefix_property(self):
-        prf = Prf(b"k" * 16)
-        long = prf.keystream(64, 5)
-        short = prf.keystream(32, 5)
-        assert long[:32] == short
+    @pytest.mark.parametrize("backend", ["shake256", "sha256", "aes"])
+    @pytest.mark.parametrize(("short", "long"), [(0, 1), (1, 16), (16, 17), (17, 33), (32, 64)])
+    def test_keystream_prefix_property(self, backend, short, long):
+        prf = Prf(b"k" * 16, backend=backend)
+        assert prf.keystream(long, 5)[:short] == prf.keystream(short, 5)
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
@@ -76,6 +85,28 @@ class TestPrf:
         prf = Prf(b"k" * 16, backend=backend)
         blocks = b"".join(prf.block(4, 2, index) for index in range(3))
         assert prf.keystream(40, 4, 2) == blocks[:40]
+
+    def test_default_backend_is_shake256(self):
+        assert Prf(b"k" * 16).backend == "shake256"
+
+    def test_shake256_keystream_is_one_xof_output(self):
+        key = bytes(range(16))
+        seed = (2**64 - 1).to_bytes(8, "little") + (7).to_bytes(8, "little")
+        expected = hashlib.shake_256(key + seed).digest(70)
+        assert Prf(key).keystream(70, 2**64 - 1, 7) == expected
+
+    def test_shake256_block_is_first_keystream_chunk(self):
+        prf = Prf(b"k" * 16, backend="shake256")
+        assert prf.block(4, 2) == prf.keystream(16, 4, 2)
+        assert prf.block(4, 2) != prf.block(4, 3)
+
+    def test_pickled_state_layout_is_stable(self):
+        # Checkpoints pickle ciphers, and with them this state; a v1
+        # (``sha256``) cipher restored from one must keep its pads.
+        for backend in ("shake256", "sha256", "aes"):
+            state = pickle.loads(pickle.dumps(Prf(b"k" * 16, backend=backend))).__dict__
+            assert sorted(state) == ["_aes", "_backend", "_key"]
+            assert state["_backend"] == backend
 
     def test_short_key_padded_for_aes_backend(self):
         prf = Prf(b"key", backend="aes")

@@ -1,5 +1,6 @@
 """Authentication-tree (Section 5) tests, including tamper and replay detection."""
 
+import functools
 import hashlib
 import pickle
 import random
@@ -8,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import backends
 from repro.api import OramSpec, open_oram
 from repro.core.config import HierarchyConfig, ORAMConfig
 from repro.core.path_oram import PathORAM
-from repro.core.tree import path_indices
+from repro.core.tree import EncryptedTreeStorage, path_indices
+from repro.core.types import Block
 from repro.crypto.bucket_encryption import CounterBucketCipher
 from repro.crypto.keys import ProcessorKey
 from repro.errors import IntegrityError
@@ -20,9 +23,15 @@ from repro.integrity.storage import IntegrityVerifiedStorage
 
 #: A seeded integrity hierarchical ORAM after ``_seeded_secure_run``: the
 #: SHA-256 of every bucket's ciphertext plus each level's root hash, of
-#: the pickled snapshot, and each level's hash-traffic counters.
-GOLDEN_CIPHERTEXT_AND_ROOTS = "f8b55caacf004fca9deaad9e8f6e80fb4eb1ae6c43d9fec4d6eccf4462cf6493"
-GOLDEN_SNAPSHOT = "41749e1dfa2f3eeba77bd7c0b0ed78bf31a783bd5be429424c92e4122a5d972a"
+#: the pickled snapshot, and each level's hash-traffic counters.  The
+#: default bucket pads are format v2 (``shake256``).
+GOLDEN_CIPHERTEXT_AND_ROOTS = "861794be0dd401e72cfadc390f7830d659132fabdbd67a4ac6e2ff012390c299"
+GOLDEN_SNAPSHOT = "7d295c40e955a54495acd3bcb614e1abfc3f8ebe9da0db2a7ec02b2b7ce025ce"
+#: The same run with pad format v1 (``sha256``) ciphers: the digests every
+#: build before v2 produced, so a v1 checkpoint is byte-identical to one
+#: taken by those builds.
+GOLDEN_CIPHERTEXT_AND_ROOTS_V1 = "f8b55caacf004fca9deaad9e8f6e80fb4eb1ae6c43d9fec4d6eccf4462cf6493"
+GOLDEN_SNAPSHOT_V1 = "41749e1dfa2f3eeba77bd7c0b0ed78bf31a783bd5be429424c92e4122a5d972a"
 GOLDEN_AUTH_COUNTERS = [
     AuthCounters(sibling_hashes_read=1078, hashes_written=1078, verifications=154, updates=154),
     AuthCounters(sibling_hashes_read=308, hashes_written=308, verifications=154, updates=154),
@@ -151,6 +160,35 @@ class TestIntegrityVerifiedStorage:
                 oram.read(address)
 
 
+class _DecoyReadBucketStorage(EncryptedTreeStorage):
+    """Inner storage whose ``read_bucket`` disagrees with ``raw_path``."""
+
+    DECOY = Block(address=999, leaf=0, data=b"decoy")
+
+    def read_bucket(self, bucket_index: int) -> list[Block]:
+        return [self.DECOY]
+
+
+class TestReadPathDecodesVerifiedBytes:
+    def test_blocks_come_from_the_verified_ciphertext(self, auth_config):
+        cipher = CounterBucketCipher(ProcessorKey(seed=4))
+        inner = _DecoyReadBucketStorage(auth_config, cipher)
+        storage = IntegrityVerifiedStorage(auth_config, cipher, inner=inner)
+        leaf = 3
+        path = storage.path(leaf)
+        root = Block(address=5, leaf=leaf, data=b"root")
+        deepest = Block(address=7, leaf=leaf, data=[1, 2])
+        storage.write_path(leaf, {path[0]: [root], path[-1]: [deepest]})
+        assert storage.read_path(leaf) == [root, deepest]
+        assert storage.read_path_blocks(leaf) == [root, deepest]
+
+    def test_never_written_path_reads_empty(self, auth_config):
+        cipher = CounterBucketCipher(ProcessorKey(seed=4))
+        inner = _DecoyReadBucketStorage(auth_config, cipher)
+        storage = IntegrityVerifiedStorage(auth_config, cipher, inner=inner)
+        assert storage.read_path(0) == []
+
+
 def _reachable_by_definition(auth, path, position):
     """Per-position reference: every valid bit above ``path[position]`` is 1."""
     for parent, child in zip(path[:position], path[1 : position + 1]):
@@ -197,25 +235,66 @@ def _seeded_secure_run():
     return oram
 
 
+def _ciphertext_and_roots_digest(oram) -> str:
+    digest = hashlib.sha256()
+    for level in oram.orams:
+        storage = level.storage
+        for index in range(level.config.num_buckets):
+            digest.update(storage.inner.raw_bucket(index) or b"-")
+        digest.update(storage.authenticator.root_hash)
+    return digest.hexdigest()
+
+
+@pytest.fixture
+def v1_pads(monkeypatch):
+    """Build facade ciphers with pad format v1, as builds before v2 did."""
+    monkeypatch.setattr(
+        backends, "CounterBucketCipher", functools.partial(CounterBucketCipher, backend="sha256")
+    )
+
+
 class TestSeededSecureRunIsBitExact:
     """Ciphertext, root hashes, snapshot and hash traffic of a seeded run.
 
     The digests pin the bucket-encryption and authentication-tree output
     byte for byte, so a speed-up of either cannot silently change a stored
-    ciphertext.  A deliberate format or snapshot-layout change must update
-    them (and bump the snapshot envelope version).
+    ciphertext.  A deliberate format change must re-record them; one that
+    changes the pickled state's layout must also bump the snapshot
+    envelope version.
+
+    Pad format v2 (``shake256`` as the default PRF) re-recorded the
+    default digests but kept ``SNAPSHOT_VERSION`` at 1: the pickled
+    :class:`~repro.crypto.prf.Prf` state (``_key``, ``_backend``,
+    ``_aes``) kept its layout, and a pickled cipher carries its back-end.
+    A v1 checkpoint is byte-identical to one taken before v2 and restores
+    to ciphers that keep decrypting and producing v1 pads, as the ``v1``
+    tests below show.
     """
 
     def test_ciphertext_root_hashes_snapshot_and_counters(self):
         oram = _seeded_secure_run()
-        digest = hashlib.sha256()
-        for level in oram.orams:
-            storage = level.storage
-            for index in range(level.config.num_buckets):
-                digest.update(storage.inner.raw_bucket(index) or b"-")
-            digest.update(storage.authenticator.root_hash)
-        assert digest.hexdigest() == GOLDEN_CIPHERTEXT_AND_ROOTS
+        assert _ciphertext_and_roots_digest(oram) == GOLDEN_CIPHERTEXT_AND_ROOTS
         snapshot = pickle.dumps(oram.snapshot(), protocol=4)
         assert hashlib.sha256(snapshot).hexdigest() == GOLDEN_SNAPSHOT
         counters = [level.storage.authenticator.counters for level in oram.orams]
         assert counters == GOLDEN_AUTH_COUNTERS
+
+    def test_v1_pads_reproduce_the_pre_v2_run(self, v1_pads):
+        oram = _seeded_secure_run()
+        assert _ciphertext_and_roots_digest(oram) == GOLDEN_CIPHERTEXT_AND_ROOTS_V1
+        snapshot = pickle.dumps(oram.snapshot(), protocol=4)
+        assert hashlib.sha256(snapshot).hexdigest() == GOLDEN_SNAPSHOT_V1
+        counters = [level.storage.authenticator.counters for level in oram.orams]
+        assert counters == GOLDEN_AUTH_COUNTERS
+
+    def test_v1_checkpoint_restores_and_keeps_v1_pads(self, v1_pads, monkeypatch):
+        oram = _seeded_secure_run()
+        snapshot = oram.snapshot()
+        monkeypatch.undo()
+        restored = backends.restore_oram(snapshot)
+        assert all(level.storage.inner.cipher._prf.backend == "sha256" for level in restored.orams)
+        for running in (oram, restored):
+            for address in range(1, 40):
+                running.write(address, bytes([address]) * 32)
+            assert running.read(7).data == bytes([7]) * 32
+        assert _ciphertext_and_roots_digest(restored) == _ciphertext_and_roots_digest(oram)
