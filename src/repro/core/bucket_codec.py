@@ -8,16 +8,21 @@ bucket's plaintext length never reveals how many real blocks it holds.
 Payloads may be ``None`` (functional runs), raw ``bytes`` (processor data)
 or a sequence of integers (position-map ORAM blocks holding leaf labels);
 each is tagged so decoding restores the original type.
+
+The encrypted storage moves whole paths: :meth:`BucketCodec.encode_path`
+and :meth:`BucketCodec.decode_path` handle every bucket of one path in one
+call, and the per-bucket :meth:`BucketCodec.encode_blocks` /
+:meth:`BucketCodec.decode_blocks` are their one-bucket case.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.core.config import ORAMConfig
 from repro.core.types import DUMMY_ADDRESS, Block
-from repro.errors import EncryptionError
+from repro.errors import ConfigurationError, EncryptionError
 
 _PAYLOAD_NONE = 0
 _PAYLOAD_BYTES = 1
@@ -55,7 +60,7 @@ class BucketCodec:
         hold: an unsupported type, a label outside ``[0, 2**64)`` or an
         integer outside signed 128 bits.
         """
-        if block is None or block.is_dummy():
+        if block is None or block.address == DUMMY_ADDRESS:
             return _DUMMY_SLOT
         payload = block.data
         try:
@@ -67,7 +72,9 @@ class BucketCodec:
             if isinstance(payload, int) and not isinstance(payload, bool):
                 body = payload.to_bytes(_INT_BYTES, "little", signed=True)
                 return _HEADER.pack(block.address, block.leaf, _PAYLOAD_INT, _INT_BYTES) + body
-            if isinstance(payload, Sequence):
+            # Concrete sequence types first: the ``Sequence`` ABC check is a
+            # slow subclass hook.
+            if isinstance(payload, (list, tuple)) or isinstance(payload, Sequence):
                 count = len(payload)
                 header = _HEADER.pack(block.address, block.leaf, _PAYLOAD_LABELS, count)
                 return header + struct.pack(f"<{count}Q", *payload)
@@ -103,21 +110,56 @@ class BucketCodec:
         return Block(address=address, leaf=leaf, data=data)
 
     # ------------------------------------------------------------------
-    # Per-bucket encoding
+    # Whole paths, and the one-bucket case
     # ------------------------------------------------------------------
-    def encode_blocks(self, blocks: list[Block]) -> list[bytes]:
-        """Serialise a bucket's real blocks, padding with dummies to ``Z``."""
-        slots = [self.encode_block(block) for block in blocks]
-        slots.extend([_DUMMY_SLOT] * (self._config.z - len(slots)))
-        return slots
+    def encode_path(self, level_buckets: Sequence[Sequence[Block] | None]) -> list[list[bytes]]:
+        """Serialise every bucket of a path, each padded with dummies to ``Z``.
 
-    def decode_blocks(self, plaintexts: list[bytes]) -> list[Block]:
-        """Deserialise a bucket, dropping dummy slots."""
-        blocks: list[Block] = []
-        for plaintext in plaintexts:
-            if plaintext == _DUMMY_SLOT:
+        ``level_buckets`` holds one entry per bucket; ``None`` or an empty
+        list is an all-dummy bucket.  Every bucket is checked and encoded
+        before anything is returned, so a caller that writes the result
+        never writes part of a path.
+
+        Raises :class:`ConfigurationError` for a bucket of more than ``Z``
+        blocks and :class:`EncryptionError` for a payload the format cannot
+        hold.
+        """
+        z = self._config.z
+        encode = self.encode_block
+        encoded: list[list[bytes]] = []
+        append = encoded.append
+        for blocks in level_buckets:
+            if not blocks:
+                append([_DUMMY_SLOT] * z)
                 continue
-            block = self.decode_block(plaintext)
-            if block is not None:
-                blocks.append(block)
+            count = len(blocks)
+            if count > z:
+                raise ConfigurationError(f"bucket overfilled: {count} > Z={z}")
+            slots = list(map(encode, blocks))
+            if count < z:
+                slots += [_DUMMY_SLOT] * (z - count)
+            append(slots)
+        return encoded
+
+    def decode_path(self, bucket_plaintexts: Iterable[Sequence[bytes]]) -> list[Block]:
+        """Deserialise the buckets of a path into their real blocks, in
+        order, dropping dummy slots."""
+        decode = self.decode_block
+        blocks: list[Block] = []
+        append = blocks.append
+        for plaintexts in bucket_plaintexts:
+            for plaintext in plaintexts:
+                if plaintext != _DUMMY_SLOT:
+                    block = decode(plaintext)
+                    if block is not None:
+                        append(block)
         return blocks
+
+    def encode_blocks(self, blocks: Sequence[Block]) -> list[bytes]:
+        """Serialise one bucket's real blocks, padding with dummies to ``Z``."""
+        return self.encode_path((blocks,))[0]
+
+    def decode_blocks(self, plaintexts: Sequence[bytes]) -> list[Block]:
+        """Deserialise one bucket, dropping dummy slots."""
+        return self.decode_path((plaintexts,))
+

@@ -19,15 +19,27 @@ Three storage back-ends are provided:
   randomized-encryption path of Section 2.2.
 
 :class:`TreeStorage` also defines the batched *path* operations the Path
-ORAM protocol drives (:meth:`TreeStorage.read_path_blocks` and
-:meth:`TreeStorage.write_path`) with generic per-bucket default
-implementations, so wrappers such as the integrity-verifying storage keep
-working unchanged while array-backed storage can override them wholesale.
+ORAM protocol drives, :meth:`TreeStorage.read_path_blocks` and
+:meth:`TreeStorage.write_path_levels`.  They are the storage primitives:
+the generic defaults loop over :meth:`TreeStorage.read_bucket` /
+:meth:`TreeStorage.write_bucket`, the convenience forms
+:meth:`TreeStorage.read_path` and :meth:`TreeStorage.write_path` go through
+them, and a back-end or wrapper overrides them wholesale.
+
+:class:`EncryptedTreeStorage` moves a whole path at a time: one
+:class:`BucketCodec` call encodes (or decodes) every bucket of the path,
+and the cipher runs once per bucket in the same loop, so a path costs one
+pass rather than one call chain per bucket.  Its per-bucket methods are
+the one-bucket case of the same code, and the ciphertext is byte for byte
+what bucket-at-a-time writes produce.  The integrity layer
+(:mod:`repro.integrity.storage`) verifies and refreshes the same whole
+paths.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Sequence
 
 from repro.core.bucket_codec import BucketCodec
 from repro.core.config import ORAMConfig
@@ -85,6 +97,11 @@ def bucket_level(bucket_index: int) -> int:
 class TreeStorage(ABC):
     """Abstract bucket store for one Path ORAM tree."""
 
+    #: Per-leaf tables derived from the geometry alone.  They are left out
+    #: of pickled state (snapshots), which they would only slow down, and
+    #: restart empty on restore.
+    _MEMO_TABLES: tuple[str, ...] = ("_path_cache",)
+
     def __init__(self, config: ORAMConfig) -> None:
         self._config = config
         self._path_cache: dict[int, tuple[int, ...]] = {}
@@ -111,6 +128,17 @@ class TreeStorage(ABC):
             self._path_cache[leaf] = path
         return path
 
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for name in self._MEMO_TABLES:
+            state.pop(name, None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        for name in self._MEMO_TABLES:
+            setattr(self, name, {})
+
     @abstractmethod
     def read_bucket(self, bucket_index: int) -> list[Block]:
         """Return the real blocks stored in one bucket."""
@@ -120,48 +148,40 @@ class TreeStorage(ABC):
         """Overwrite one bucket with up to ``Z`` real blocks (padded with
         dummies by the back-end as needed)."""
 
-    def read_path(self, leaf: int) -> list[Block]:
-        """Read and return all real blocks on the path to ``leaf``."""
+    def read_path_blocks(self, leaf: int) -> list[Block]:
+        """Every real block on the path to ``leaf``, root first.
+
+        The batched path read the protocol's hot path drives; back-ends
+        that can read a whole path without per-bucket copies, and wrappers
+        that check what they read (integrity verification), override it.
+        """
         blocks: list[Block] = []
         for bucket_index in self.path(leaf):
             blocks.extend(self.read_bucket(bucket_index))
         return blocks
 
-    def read_path_blocks(self, leaf: int) -> list[Block]:
-        """Batched path read used by the protocol's hot path.
-
-        Semantically identical to :meth:`read_path`; back-ends that can read
-        a whole path without per-bucket copies override this.  The default
-        delegates to :meth:`read_path` so wrapper storages (e.g. integrity
-        verification) that override ``read_path`` keep intercepting protocol
-        reads.
-        """
-        return self.read_path(leaf)
-
-    def write_path(self, leaf: int, assignments: dict[int, list[Block]]) -> None:
-        """Write back a path.
-
-        ``assignments`` maps bucket index → blocks; buckets on the path that
-        are missing from the mapping are written empty (all dummies), which
-        matches the protocol's requirement that every bucket on the path is
-        re-encrypted and rewritten.
-        """
-        for bucket_index in self.path(leaf):
-            self.write_bucket(bucket_index, assignments.get(bucket_index, []))
+    def read_path(self, leaf: int) -> list[Block]:
+        """Read and return all real blocks on the path to ``leaf``."""
+        return self.read_path_blocks(leaf)
 
     def write_path_levels(self, leaf: int, level_buckets: list[list[Block] | None]) -> None:
-        """Batched path write used by the protocol's hot path.
+        """Write back a whole path: the batched write the protocol drives.
 
         ``level_buckets`` is aligned with the path (root first); ``None`` or
-        an empty list writes that bucket empty.  The default converts to the
-        :meth:`write_path` mapping so wrapper storages that override
-        ``write_path`` keep intercepting protocol writes.
+        an empty list writes that bucket empty (all dummies), which matches
+        the protocol's requirement that every bucket on the path is
+        re-encrypted and rewritten.
         """
-        assignments: dict[int, list[Block]] = {}
         for bucket_index, blocks in zip(self.path(leaf), level_buckets):
-            if blocks:
-                assignments[bucket_index] = blocks
-        self.write_path(leaf, assignments)
+            self.write_bucket(bucket_index, blocks or [])
+
+    def write_path(self, leaf: int, assignments: dict[int, list[Block]]) -> None:
+        """Write back a path given as a bucket index → blocks mapping.
+
+        Buckets on the path missing from ``assignments`` are written empty.
+        """
+        path = self.path(leaf)
+        self.write_path_levels(leaf, [assignments.get(bucket_index) for bucket_index in path])
 
     def occupancy(self) -> int:
         """Total number of real blocks currently stored in the tree."""
@@ -203,6 +223,8 @@ class FlatTreeStorage(TreeStorage):
     differential property test in ``tests/test_core_properties.py`` enforces
     this), so it is the default back-end for functional simulations.
     """
+
+    _MEMO_TABLES = ("_path_cache", "_base_cache")
 
     #: Slot-array stride per bucket: slot 0 holds the bucket's real-block
     #: count, slots 1..Z hold the blocks.  One contiguous array, one index.
@@ -256,14 +278,6 @@ class FlatTreeStorage(TreeStorage):
                     blocks.extend(slots[base + 1 : base + 1 + count])
         return blocks
 
-    def write_path(self, leaf: int, assignments: dict[int, list[Block]]) -> None:
-        """Write a whole path directly into the slot array."""
-        path = self.path(leaf)
-        level_buckets: list[list[Block] | None] = [
-            assignments.get(bucket_index) for bucket_index in path
-        ]
-        self.write_path_levels(leaf, level_buckets)
-
     def write_path_levels(self, leaf: int, level_buckets: list[list[Block] | None]) -> None:
         """Write a whole path directly into the slot array, level-aligned."""
         slots = self._slots
@@ -299,6 +313,11 @@ class EncryptedTreeStorage(TreeStorage):
     with dummies up to ``Z``) and encrypted by the supplied cipher, so an
     external observer of this storage sees only ciphertext that changes on
     every write — the property Section 2.2 requires.
+
+    Whole paths are the unit of work: :meth:`write_path_levels` encodes
+    the path in one codec call and encrypts its buckets in one loop, and
+    :meth:`decode_path` decrypts and decodes a path's ciphertext the same
+    way.  The per-bucket methods are the one-bucket case.
     """
 
     def __init__(self, config: ORAMConfig, cipher: BucketCipher) -> None:
@@ -311,32 +330,45 @@ class EncryptedTreeStorage(TreeStorage):
     def cipher(self) -> BucketCipher:
         return self._cipher
 
-    def read_bucket(self, bucket_index: int) -> list[Block]:
-        return self.decode_bucket(bucket_index, self._buckets[bucket_index])
-
-    def decode_bucket(self, bucket_index: int, ciphertext: bytes | None) -> list[Block]:
-        """Decrypt and decode one bucket's ciphertext into its real blocks.
+    # ------------------------------------------------------------------
+    # Whole paths
+    # ------------------------------------------------------------------
+    def decode_path(
+        self, bucket_indices: Sequence[int], ciphertexts: Sequence[bytes | None]
+    ) -> list[Block]:
+        """Decrypt and decode the ciphertexts of the given buckets into
+        their real blocks, in order.
 
         ``None`` and ``b""`` (uninitialised DRAM, as :meth:`raw_path`
         reports it) decode to an empty bucket; the paper's integrity layer
         handles "never written" buckets explicitly.
         """
-        if not ciphertext:
-            return []
-        plaintexts = self._cipher.decrypt(bucket_index, ciphertext)
-        return self._codec.decode_blocks(plaintexts)
+        decrypt = self._cipher.decrypt
+        plaintexts = [
+            decrypt(index, ciphertext)
+            for index, ciphertext in zip(bucket_indices, ciphertexts)
+            if ciphertext
+        ]
+        return self._codec.decode_path(plaintexts)
 
-    def write_bucket(self, bucket_index: int, blocks: list[Block]) -> None:
-        if len(blocks) > self._config.z:
-            raise ConfigurationError(
-                f"bucket {bucket_index} overfilled: {len(blocks)} > Z={self._config.z}"
-            )
-        plaintexts = self._codec.encode_blocks(blocks)
-        self._buckets[bucket_index] = self._cipher.encrypt(bucket_index, plaintexts)
+    def read_path_blocks(self, leaf: int) -> list[Block]:
+        """Decrypt and decode every bucket on the path in one pass."""
+        path = self.path(leaf)
+        return self.decode_path(path, list(map(self._buckets.__getitem__, path)))
 
-    def raw_bucket(self, bucket_index: int) -> bytes | None:
-        """Ciphertext of one bucket as an adversary would see it."""
-        return self._buckets[bucket_index]
+    def write_path_levels(self, leaf: int, level_buckets: list[list[Block] | None]) -> None:
+        """Encode the whole path, then re-encrypt each of its buckets.
+
+        Every bucket is encoded (and checked against ``Z``) before the
+        first one is encrypted, so a rejected path writes nothing.
+        """
+        path = self.path(leaf)
+        if len(level_buckets) != len(path):
+            raise ConfigurationError(f"{len(level_buckets)} buckets for a {len(path)}-bucket path")
+        encrypt = self._cipher.encrypt
+        buckets = self._buckets
+        for index, slots in zip(path, self._codec.encode_path(level_buckets)):
+            buckets[index] = encrypt(index, slots)
 
     def raw_path(self, leaf: int) -> list[bytes]:
         """Raw ciphertext of every bucket on the path to ``leaf``, root first.
@@ -348,3 +380,17 @@ class EncryptedTreeStorage(TreeStorage):
         """
         buckets = self._buckets
         return [buckets[index] or b"" for index in self.path(leaf)]
+
+    # ------------------------------------------------------------------
+    # One bucket
+    # ------------------------------------------------------------------
+    def read_bucket(self, bucket_index: int) -> list[Block]:
+        return self.decode_path((bucket_index,), (self._buckets[bucket_index],))
+
+    def write_bucket(self, bucket_index: int, blocks: list[Block]) -> None:
+        plaintexts = self._codec.encode_blocks(blocks)
+        self._buckets[bucket_index] = self._cipher.encrypt(bucket_index, plaintexts)
+
+    def raw_bucket(self, bucket_index: int) -> bytes | None:
+        """Ciphertext of one bucket as an adversary would see it."""
+        return self._buckets[bucket_index]

@@ -37,6 +37,10 @@ STRAWMAN_PER_BLOCK_OVERHEAD_BITS = 128
 #: Bits of overhead per bucket in the counter-based scheme (BucketCounter).
 COUNTER_PER_BUCKET_OVERHEAD_BITS = 64
 
+_COUNTER_BITS = COUNTER_PER_BUCKET_OVERHEAD_BITS
+_COUNTER_MASK = (1 << _COUNTER_BITS) - 1
+_BLOCK_COUNT = struct.Struct("<I")
+
 
 def strawman_bucket_bits(z: int, l_bits: int, u_bits: int, b_bits: int) -> int:
     """Bucket size in bits under the strawman scheme: ``Z(128 + L + U + B)``."""
@@ -150,6 +154,12 @@ class CounterBucketCipher(BucketCipher):
     construction.  Buckets are always read and written atomically, so one
     counter per bucket suffices; seeding with BucketID guarantees two
     buckets never share a pad.
+
+    :meth:`encrypt` and :meth:`decrypt` are the whole per-bucket cost: one
+    ``struct`` call for the length table, one :meth:`Prf.keystream` call for
+    the pad (the only step that depends on the back-end) and one big-integer
+    XOR.  The encrypted storage calls them once per bucket of a path, so the
+    one-bucket API and the path pass run the same code.
     """
 
     COUNTER_BYTES = 8
@@ -168,28 +178,35 @@ class CounterBucketCipher(BucketCipher):
         count = len(block_plaintexts)
         lengths = struct.pack(f"<I{count}I", count, *map(len, block_plaintexts))
         plaintext = lengths + b"".join(block_plaintexts)
-        body = self._keystream.apply(plaintext, bucket_id, counter)
-        return counter.to_bytes(self.COUNTER_BYTES, "little") + body
+        nbytes = len(plaintext)
+        pad = self._prf.keystream(nbytes, bucket_id, counter)
+        body = int.from_bytes(plaintext, "little") ^ int.from_bytes(pad, "little")
+        # The counter rides in the clear in the low 8 bytes.
+        return (body << _COUNTER_BITS | counter).to_bytes(nbytes + self.COUNTER_BYTES, "little")
 
     def decrypt(self, bucket_id: int, ciphertext: bytes) -> list[bytes]:
-        if len(ciphertext) < self.COUNTER_BYTES:
+        nbytes = len(ciphertext) - self.COUNTER_BYTES
+        if nbytes < 0:
             raise EncryptionError("counter bucket ciphertext shorter than its counter")
-        counter = int.from_bytes(ciphertext[: self.COUNTER_BYTES], "little")
-        body = ciphertext[self.COUNTER_BYTES :]
-        plaintext = self._keystream.apply(body, bucket_id, counter)
-        if len(plaintext) < 4:
+        whole = int.from_bytes(ciphertext, "little")
+        counter = whole & _COUNTER_MASK
+        pad = self._prf.keystream(nbytes, bucket_id, counter)
+        body = (whole >> _COUNTER_BITS) ^ int.from_bytes(pad, "little")
+        plaintext = body.to_bytes(nbytes, "little")
+        if nbytes < 4:
             raise EncryptionError("counter bucket plaintext missing block count")
-        count = int.from_bytes(plaintext[:4], "little")
+        (count,) = _BLOCK_COUNT.unpack_from(plaintext)
         offset = 4 + 4 * count
-        if offset > len(plaintext):
+        if offset > nbytes:
             raise EncryptionError("counter bucket plaintext missing block length")
         blocks: list[bytes] = []
+        append = blocks.append
         for length in struct.unpack_from(f"<{count}I", plaintext, 4):
             end = offset + length
-            blocks.append(plaintext[offset:end])
+            append(plaintext[offset:end])
             offset = end
         # Offsets only grow, so checking the last end covers every block.
-        if offset > len(plaintext):
+        if offset > nbytes:
             raise EncryptionError("counter bucket plaintext truncated block body")
         return blocks
 

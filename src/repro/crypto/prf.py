@@ -18,9 +18,10 @@ distinct seed tuples of one arity never share an input.  Three back-ends:
   per-chunk AES reference.
 
 Where the cost goes: a ``shake256`` pad is one hash call per bucket, and
-:meth:`Keystream.apply` XORs the whole buffer as one big-integer operation,
-so what remains per bucket is that one call, the XOR and the bucket
-codec.  A ``sha256`` pad still pays one hash call per 16-byte chunk.
+the counter cipher (like :meth:`Keystream.apply`) XORs the whole bucket as
+one big-integer operation, so what remains per bucket is that one call,
+the XOR and the bucket codec.  A ``sha256`` pad still pays one hash call
+per 16-byte chunk.
 """
 
 from __future__ import annotations

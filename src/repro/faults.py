@@ -84,10 +84,11 @@ class FaultInjector(TreeStorage):
       back at the next path read — the moment a real dropped DRAM write
       would surface.
 
-    The read-back the integrity layer performs inside ``write_path`` (to
-    refresh the authentication tree) is recognised and never counted or
-    corrupted — the injector models a device that corrupts *stored* data,
-    not the verifier's own view of what it just wrote.
+    Path write-backs are intercepted at ``write_path_levels``, the one
+    write the integrity layer makes.  The read-back it performs right
+    after (to refresh the authentication tree) is recognised and never
+    counted or corrupted — the injector models a device that corrupts
+    *stored* data, not the verifier's own view of what it just wrote.
     """
 
     def __init__(
@@ -212,7 +213,7 @@ class FaultInjector(TreeStorage):
             self._read_faults[op + 1] = kind
         return self._storage.raw_path(leaf)
 
-    def write_path(self, leaf: int, assignments) -> None:
+    def write_path_levels(self, leaf: int, level_buckets) -> None:
         op = self.write_ops
         self.write_ops += 1
         path = self.path(leaf)
@@ -222,7 +223,7 @@ class FaultInjector(TreeStorage):
                 self._stale[index] = buckets[index]
         drop = op in self._write_faults and self._pending_revert is None
         old_root = buckets[path[0]] if drop else None
-        self._storage.write_path(leaf, assignments)
+        self._storage.write_path_levels(leaf, level_buckets)
         if drop:
             self._write_faults.discard(op)
             # Lost write-back: remember the pre-write root ciphertext and
@@ -241,8 +242,8 @@ class FaultInjector(TreeStorage):
     def raw_bucket(self, bucket_index: int) -> bytes | None:
         return self._storage.raw_bucket(bucket_index)
 
-    def decode_bucket(self, bucket_index: int, ciphertext: bytes | None):
-        return self._storage.decode_bucket(bucket_index, ciphertext)
+    def decode_path(self, bucket_indices, ciphertexts):
+        return self._storage.decode_path(bucket_indices, ciphertexts)
 
     @property
     def _buckets(self) -> list[bytes | None]:

@@ -15,6 +15,15 @@ to be initialised at program start.
 Per ORAM access, only the sibling hashes along the accessed path (at most
 ``L`` of them) are read and only the ``L`` path hashes are rewritten — in
 contrast to the strawman Merkle tree's ``Z (L+1)^2`` hashes.
+
+The tree's geometry comes from heap order alone: a child ``c`` on a path
+is a left child when ``c`` is odd, its sibling is ``((c - 1) ^ 1) + 1``
+(``c + 1`` or ``c - 1``), and the parent's child-valid flag towards it is
+``f0`` or ``f1`` accordingly.  :meth:`PathORAMAuthenticator.verify_path`
+and :meth:`PathORAMAuthenticator.update_path` take the bucket indices of
+the path from the caller (the storage memoises them per leaf) and compute
+them only when none are given, so the authenticator keeps no per-leaf
+table of its own.
 """
 
 from __future__ import annotations
@@ -56,8 +65,9 @@ class PathORAMAuthenticator:
         self._flags: list[list[int]] = [[0, 0] for _ in range(num_buckets)]
         # On-chip state: the root hash and the root's child-valid flags.
         self._root_flags = [0, 0]
-        self._root_hash = self._node_hash(b"", [0, 0], _ZERO_HASH, _ZERO_HASH, reachable=False)
-        self._written = [False] * num_buckets
+        # The hash of a root with both flags clear: nothing below it, and
+        # its own bucket gated off.
+        self._root_hash = _hash(b"\x00\x00" + _ZERO_HASH + _ZERO_HASH)
         self.counters = AuthCounters()
 
     @property
@@ -72,163 +82,128 @@ class PathORAMAuthenticator:
     # ------------------------------------------------------------------
     # Hash computation
     # ------------------------------------------------------------------
-    @staticmethod
-    def _node_hash(
-        bucket: bytes, flags: Sequence[int], left: bytes, right: bytes, reachable: bool
-    ) -> bytes:
-        """Internal-node hash with the paper's flag gating."""
-        gated_bucket = bucket if (flags[0] or flags[1]) and reachable else b""
-        gated_left = left if flags[0] else _ZERO_HASH
-        gated_right = right if flags[1] else _ZERO_HASH
-        return _hash(bytes([flags[0], flags[1]]) + gated_bucket + gated_left + gated_right)
-
-    @staticmethod
-    def _leaf_hash(bucket: bytes) -> bytes:
-        return _hash(bucket)
-
-    def _is_leaf(self, bucket_index: int) -> bool:
-        return 2 * bucket_index + 1 >= self._config.num_buckets
-
-    def _child_direction(self, parent: int, child: int) -> int:
-        """0 if ``child`` is the left child of ``parent``, 1 if the right."""
-        if child == 2 * parent + 1:
-            return 0
-        if child == 2 * parent + 2:
-            return 1
-        raise ConfigurationError(f"bucket {child} is not a child of {parent}")
-
-    def _flags_of(self, bucket_index: int) -> list[int]:
-        if bucket_index == 0:
-            return self._root_flags
-        return self._flags[bucket_index]
-
     def _path_reachability(self, path: Sequence[int]) -> list[bool]:
         """Whether each bucket on ``path`` was reachable from the root at the
         start of this access (all valid bits above it are 1).
 
         One top-down pass: a bucket is reachable iff its parent is and the
-        parent's child-valid flag towards it is set.
+        parent's child-valid flag towards it (``f0`` for an odd, left
+        child) is set.
         """
-        reachability = [True]
+        flags = self._flags
+        parent_flags = self._root_flags
         reachable = True
-        for parent, child in zip(path, path[1:]):
-            direction = self._child_direction(parent, child)
-            reachable = reachable and bool(self._flags_of(parent)[direction])
+        reachability = [True]
+        for child in path[1:]:
+            reachable = reachable and bool(parent_flags[(child & 1) ^ 1])
             reachability.append(reachable)
+            parent_flags = flags[child]
         return reachability
 
-    def _compute_path_root(
-        self,
-        path: Sequence[int],
-        buckets: Sequence[bytes],
-        flags_by_node: Sequence[Sequence[int]],
-        reachability: Sequence[bool],
-    ) -> bytes:
-        """Recompute the root hash from leaf to root along ``path``."""
+    def _hash_path(
+        self, path: Sequence[int], buckets: Sequence[bytes], reachability: Sequence[bool]
+    ) -> list[bytes]:
+        """Hashes of every node on ``path`` from the current flags, root first.
+
+        Bottom-up: the leaf hashes its bucket, and each node above hashes
+        ``f0 || f1 || gated bucket || gated left || gated right``, where the
+        bucket is gated by ``(f0 or f1)`` and the node's ``reachability``,
+        and each child hash (the path child's just computed, the off-path
+        sibling's as stored) by its flag.
+        """
+        hashes = self._hashes
+        flags = self._flags
+        sha256 = hashlib.sha256
         levels = len(path) - 1
-        current = self._leaf_hash(buckets[levels])
+        current = sha256(buckets[levels]).digest()
+        path_hashes = [current] * (levels + 1)
         for position in range(levels - 1, -1, -1):
-            node = path[position]
-            child_on_path = path[position + 1]
-            direction = self._child_direction(node, child_on_path)
-            sibling = (2 * node + 1) if direction == 1 else (2 * node + 2)
-            sibling_hash = self._hashes[sibling]
-            self.counters.sibling_hashes_read += 1
-            left = current if direction == 0 else sibling_hash
-            right = current if direction == 1 else sibling_hash
-            current = self._node_hash(
-                buckets[position],
-                flags_by_node[position],
-                left,
-                right,
-                reachable=reachability[position],
-            )
-        return current
+            child = path[position + 1]
+            f0, f1 = flags[path[position]] if position else self._root_flags
+            if child & 1:
+                left = current if f0 else _ZERO_HASH
+                right = hashes[child + 1] if f1 else _ZERO_HASH
+            else:
+                left = hashes[child - 1] if f0 else _ZERO_HASH
+                right = current if f1 else _ZERO_HASH
+            bucket = buckets[position] if (f0 or f1) and reachability[position] else b""
+            current = sha256(bytes((f0, f1)) + bucket + left + right).digest()
+            path_hashes[position] = current
+        return path_hashes
+
+    def _checked_path(
+        self, leaf: int, buckets: Sequence[bytes], path: Sequence[int] | None
+    ) -> Sequence[int]:
+        if path is None:
+            path = path_indices(leaf, self._config.levels)
+        if len(buckets) != len(path):
+            raise ConfigurationError("bucket count does not match path length")
+        return path
 
     # ------------------------------------------------------------------
     # Public protocol
     # ------------------------------------------------------------------
-    def verify_path(self, leaf: int, buckets: Sequence[bytes]) -> None:
+    def verify_path(
+        self, leaf: int, buckets: Sequence[bytes], path: Sequence[int] | None = None
+    ) -> None:
         """Verify the buckets read along the path to ``leaf``.
 
         ``buckets`` are the raw (encrypted) bucket contents, root first;
-        never-written buckets should be passed as ``b""``.  Raises
-        :class:`IntegrityError` if the recomputed root does not match the
-        on-chip root hash.
+        never-written buckets should be passed as ``b""``.  ``path`` is the
+        path's bucket indices, root first, if the caller already has them.
+        Raises :class:`IntegrityError` if the recomputed root does not match
+        the on-chip root hash.
         """
-        path = path_indices(leaf, self._config.levels)
-        if len(buckets) != len(path):
-            raise ConfigurationError("bucket count does not match path length")
-        flags_by_node = [list(self._flags_of(index)) for index in path]
-        reachability = self._path_reachability(path)
-        recomputed = self._compute_path_root(path, buckets, flags_by_node, reachability)
-        self.counters.verifications += 1
+        path = self._checked_path(leaf, buckets, path)
+        recomputed = self._hash_path(path, buckets, self._path_reachability(path))[0]
+        counters = self.counters
+        counters.sibling_hashes_read += len(path) - 1
+        counters.verifications += 1
         if recomputed != self._root_hash:
             raise IntegrityError(f"authentication failed on path to leaf {leaf}")
 
-    def update_path(self, leaf: int, new_buckets: Sequence[bytes]) -> None:
+    def update_path(
+        self, leaf: int, new_buckets: Sequence[bytes], path: Sequence[int] | None = None
+    ) -> None:
         """Install new bucket contents along the path to ``leaf``.
 
         Updates the child-valid flags (the path just written becomes valid;
         sibling flags survive only if the bucket was already reachable),
         recomputes the path hashes bottom-up and refreshes the on-chip root.
+        ``path`` is as for :meth:`verify_path`.
         """
-        path = path_indices(leaf, self._config.levels)
-        if len(new_buckets) != len(path):
-            raise ConfigurationError("bucket count does not match path length")
+        path = self._checked_path(leaf, new_buckets, path)
         levels = len(path) - 1
 
-        reachability = self._path_reachability(path)
-
-        # Update child-valid flags along the path (top-down).
-        for position in range(levels):
-            node = path[position]
-            child = path[position + 1]
-            direction = self._child_direction(node, child)
-            flags = self._flags_of(node)
-            new_flags = list(flags)
-            new_flags[direction] = 1
+        # Update child-valid flags along the path (top-down), reading each
+        # node's old flags for the reachability of the node below it.
+        flags = self._flags
+        node_flags = self._root_flags
+        reachable = True
+        for child in path[1:]:
+            direction = (child & 1) ^ 1
+            child_reachable = reachable and node_flags[direction]
+            node_flags[direction] = 1
             # The other flag is only trustworthy if this bucket was already
             # reachable; otherwise the stored bits are uninitialised memory.
-            if not reachability[position]:
-                new_flags[1 - direction] = 0
-            if node == 0:
-                self._root_flags = new_flags
-            else:
-                self._flags[node] = new_flags
+            if not reachable:
+                node_flags[direction ^ 1] = 0
+            reachable = child_reachable
+            node_flags = flags[child]
 
-        flags_by_node = [list(self._flags_of(index)) for index in path]
         # Every bucket on the path has now been written, so it is reachable
         # for the purpose of the new hashes.
-        new_reachability = [True] * len(path)
-
-        # Recompute hashes bottom-up and store them.
-        current = self._leaf_hash(new_buckets[levels])
-        self._hashes[path[levels]] = current
-        self.counters.hashes_written += 1
-        for position in range(levels - 1, -1, -1):
-            node = path[position]
-            child_on_path = path[position + 1]
-            direction = self._child_direction(node, child_on_path)
-            sibling = (2 * node + 1) if direction == 1 else (2 * node + 2)
-            sibling_hash = self._hashes[sibling]
-            left = current if direction == 0 else sibling_hash
-            right = current if direction == 1 else sibling_hash
-            current = self._node_hash(
-                new_buckets[position],
-                flags_by_node[position],
-                left,
-                right,
-                reachable=new_reachability[position],
-            )
-            if node == 0:
-                self._root_hash = current
-            else:
-                self._hashes[node] = current
-                self.counters.hashes_written += 1
-        for index in path:
-            self._written[index] = True
-        self.counters.updates += 1
+        path_hashes = self._hash_path(path, new_buckets, [True] * (levels + 1))
+        hashes = self._hashes
+        for index, node_hash in zip(path[1:], path_hashes[1:]):
+            hashes[index] = node_hash
+        if levels:
+            self._root_hash = path_hashes[0]
+        else:
+            hashes[0] = path_hashes[0]
+        counters = self.counters
+        counters.hashes_written += levels or 1
+        counters.updates += 1
 
     def tamper_with_hash(self, bucket_index: int, new_hash: bytes) -> None:
         """Testing hook: corrupt a stored (external) hash."""

@@ -2,11 +2,19 @@
 
 :class:`IntegrityVerifiedStorage` wraps an
 :class:`~repro.core.tree.EncryptedTreeStorage` (or any storage exposing its
-``raw_path`` bytes and ``decode_bucket``) and a
-:class:`~repro.integrity.auth_tree.PathORAMAuthenticator` so that every path
-read is verified against the on-chip root hash, and decoded from exactly the
-bytes that were verified, and every path write-back refreshes the
-authentication tree — the integration described in Section 5 and Figure 13.
+``raw_path`` bytes, ``decode_path`` and ``write_path_levels``) and a
+:class:`~repro.integrity.auth_tree.PathORAMAuthenticator` — the integration
+described in Section 5 and Figure 13.  It moves whole paths, as the
+protocol does:
+
+* a path read fetches the path's ciphertext once (``raw_path``), verifies
+  it against the on-chip root hash, and decodes exactly those verified
+  bytes in one pass;
+* a path write-back re-encrypts the whole path (``write_path_levels``),
+  reads the new ciphertext back and refreshes the path's hashes.
+
+Both hand the authenticator the inner storage's memoised path tuple, so no
+path is recomputed per access.
 """
 
 from __future__ import annotations
@@ -21,9 +29,9 @@ from repro.integrity.auth_tree import PathORAMAuthenticator
 class IntegrityVerifiedStorage(TreeStorage):
     """Encrypted bucket storage with authentication-tree verification.
 
-    Raises :class:`~repro.errors.IntegrityError` from ``read_path`` if any
-    bucket on the path has been tampered with (or replayed) since the ORAM
-    interface last wrote it.
+    Raises :class:`~repro.errors.IntegrityError` from a path read
+    (``read_path_blocks`` / ``read_path``) if any bucket on the path has
+    been tampered with (or replayed) since the ORAM interface last wrote it.
     """
 
     def __init__(
@@ -59,25 +67,23 @@ class IntegrityVerifiedStorage(TreeStorage):
     def write_bucket(self, bucket_index: int, blocks: list[Block]) -> None:
         self._inner.write_bucket(bucket_index, blocks)
 
-    def read_path(self, leaf: int) -> list[Block]:
+    def read_path_blocks(self, leaf: int) -> list[Block]:
         """Verify then decrypt every bucket on the path to ``leaf``."""
         # ``raw_path`` is the device-facing read: a fault-injecting inner
         # storage applies its scheduled corruption there, so verification
         # sees exactly what "the DRAM" returned, and the blocks are decoded
         # from those same verified bytes.
-        raw = self._inner.raw_path(leaf)
-        self._auth.verify_path(leaf, raw)
-        decode = self._inner.decode_bucket
-        blocks: list[Block] = []
-        for index, ciphertext in zip(self.path(leaf), raw):
-            blocks.extend(decode(index, ciphertext))
-        return blocks
+        inner = self._inner
+        path = inner.path(leaf)
+        raw = inner.raw_path(leaf)
+        self._auth.verify_path(leaf, raw, path)
+        return inner.decode_path(path, raw)
 
-    def write_path(self, leaf: int, assignments: dict[int, list[Block]]) -> None:
+    def write_path_levels(self, leaf: int, level_buckets: list[list[Block] | None]) -> None:
         """Re-encrypt and write the path, then refresh the authentication tree."""
-        self._inner.write_path(leaf, assignments)
-        raw = self._inner.raw_path(leaf)
-        self._auth.update_path(leaf, raw)
+        inner = self._inner
+        inner.write_path_levels(leaf, level_buckets)
+        self._auth.update_path(leaf, inner.raw_path(leaf), inner.path(leaf))
 
     # ------------------------------------------------------------------
     # Adversarial hooks for tests

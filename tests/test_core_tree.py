@@ -1,9 +1,12 @@
 """Tree geometry and storage back-end tests."""
 
+import pickle
 import random
 
 import pytest
 
+from repro.api import OramSpec, open_oram
+from repro.core.config import ORAMConfig
 from repro.core.path_oram import leaf_common_path_length
 from repro.core.tree import (
     EncryptedTreeStorage,
@@ -14,9 +17,9 @@ from repro.core.tree import (
     path_indices,
 )
 from repro.core.types import Block
-from repro.crypto.bucket_encryption import CounterBucketCipher
+from repro.crypto.bucket_encryption import CounterBucketCipher, StrawmanBucketCipher
 from repro.crypto.keys import ProcessorKey
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, EncryptionError
 
 
 class TestPathIndices:
@@ -200,8 +203,9 @@ class TestEncryptedTreeStorage:
 
     def test_empty_and_full_buckets_same_ciphertext_length(self, storage, small_config):
         storage.write_bucket(0, [])
-        storage.write_bucket(1, [Block(address=i, leaf=0, data=b"x" * small_config.block_bytes)
-                                 for i in range(1, small_config.z + 1)])
+        payload = b"x" * small_config.block_bytes
+        full = [Block(address=i, leaf=0, data=payload) for i in range(1, small_config.z + 1)]
+        storage.write_bucket(1, full)
         # Dummy padding hides the number of real blocks... lengths match as
         # long as payload sizes match; empty buckets use zero-length slots,
         # so we only require that both are non-trivial ciphertexts.
@@ -213,3 +217,144 @@ class TestEncryptedTreeStorage:
         storage.write_path(1, {path[0]: [Block(address=9, leaf=1, data=b"root")]})
         blocks = storage.read_path(1)
         assert [b.address for b in blocks] == [9]
+
+
+#: Every bucket cipher the encrypted storage runs: the counter scheme on
+#: each PRF back-end, and the strawman scheme.
+CIPHERS = ["shake256", "sha256", "aes", "strawman"]
+
+
+def _cipher(kind: str):
+    key = ProcessorKey(seed=11)
+    if kind == "strawman":
+        return StrawmanBucketCipher(key, rng=random.Random(5))
+    return CounterBucketCipher(key, backend=kind)
+
+
+def _payload(kind: int, address: int, block_bytes: int):
+    if kind == 0:
+        return None
+    if kind == 1:
+        return bytes([address % 256]) * block_bytes
+    if kind == 2:
+        return address * -(10**30)
+    return [address, 0, 2**64 - 1]
+
+
+def _level_buckets(config: ORAMConfig, leaf: int, seed: int) -> list[list[Block] | None]:
+    """One bucket per level of the path: empty (``None`` or ``[]``),
+    partly full or full, with payloads of every kind the codec encodes."""
+    rng = random.Random(seed)
+    address = 1
+    level_buckets: list[list[Block] | None] = []
+    for level in range(config.levels + 1):
+        count = (0, 0, 1, config.z - 1, config.z)[level % 5]
+        blocks = []
+        for _ in range(count):
+            data = _payload(rng.randrange(4), address, config.block_bytes)
+            blocks.append(Block(address=address, leaf=leaf, data=data))
+            address += 1
+        level_buckets.append(None if level % 5 == 0 else blocks)
+    return level_buckets
+
+
+class TestEncryptedPathPass:
+    """The whole-path pass against the one-bucket methods it generalises."""
+
+    @pytest.mark.parametrize("kind", CIPHERS)
+    def test_path_write_matches_bucket_writes_byte_for_byte(self, small_config, kind):
+        by_path = EncryptedTreeStorage(small_config, _cipher(kind))
+        by_bucket = EncryptedTreeStorage(small_config, _cipher(kind))
+        for rewrite, leaf in enumerate((3, 3, small_config.num_leaves - 1)):
+            level_buckets = _level_buckets(small_config, leaf, seed=rewrite)
+            by_path.write_path_levels(leaf, level_buckets)
+            for index, blocks in zip(by_bucket.path(leaf), level_buckets):
+                by_bucket.write_bucket(index, blocks or [])
+            for index in range(small_config.num_buckets):
+                assert by_path.raw_bucket(index) == by_bucket.raw_bucket(index)
+
+            expected = [block for blocks in level_buckets if blocks for block in blocks]
+            per_bucket = [
+                block for index in by_bucket.path(leaf) for block in by_bucket.read_bucket(index)
+            ]
+            assert by_path.read_path_blocks(leaf) == per_bucket == expected
+            assert by_path.read_path(leaf) == expected
+            path = by_path.path(leaf)
+            raw = by_path.raw_path(leaf)
+            one_by_one = [by_path.decode_path((i,), (data,)) for i, data in zip(path, raw)]
+            assert by_path.decode_path(path, raw) == [b for blocks in one_by_one for b in blocks]
+
+    def test_write_path_matches_write_path_levels(self, small_config):
+        by_levels = EncryptedTreeStorage(small_config, _cipher("shake256"))
+        by_mapping = EncryptedTreeStorage(small_config, _cipher("shake256"))
+        level_buckets = _level_buckets(small_config, 6, seed=1)
+        by_levels.write_path_levels(6, level_buckets)
+        path = by_mapping.path(6)
+        by_mapping.write_path(6, {i: b for i, b in zip(path, level_buckets) if b})
+        assert by_levels.raw_path(6) == by_mapping.raw_path(6)
+
+    @pytest.mark.parametrize("kind", CIPHERS)
+    @pytest.mark.parametrize("damage", ["truncated", "short"])
+    def test_damaged_ciphertext_mid_path_raises_encryption_error(self, small_config, kind, damage):
+        storage = EncryptedTreeStorage(small_config, _cipher(kind))
+        leaf = 5
+        storage.write_path_levels(leaf, _level_buckets(small_config, leaf, seed=2))
+        victim = storage.path(leaf)[small_config.levels // 2]
+        ciphertext = storage.raw_bucket(victim)
+        storage._buckets[victim] = ciphertext[:-3] if damage == "truncated" else ciphertext[:5]
+        with pytest.raises(EncryptionError):
+            storage.read_path_blocks(leaf)
+
+    def test_overfilled_path_is_rejected_before_anything_is_written(self, small_config):
+        storage = EncryptedTreeStorage(small_config, _cipher("shake256"))
+        blocks = [Block(address=i, leaf=0) for i in range(1, small_config.z + 2)]
+        level_buckets = [[Block(address=99, leaf=0)]] + [None] * small_config.levels
+        level_buckets[-1] = blocks
+        with pytest.raises(ConfigurationError):
+            storage.write_path_levels(0, level_buckets)
+        assert storage.raw_path(0) == [b""] * (small_config.levels + 1)
+        with pytest.raises(ConfigurationError):
+            storage.write_path_levels(0, [None] * small_config.levels)
+
+    def test_unencodable_payload_mid_path_writes_nothing(self, small_config):
+        storage = EncryptedTreeStorage(small_config, _cipher("shake256"))
+        level_buckets = [[Block(address=1, leaf=0)]] + [None] * small_config.levels
+        level_buckets[2] = [Block(address=2, leaf=0, data=object())]
+        with pytest.raises(EncryptionError):
+            storage.write_path_levels(0, level_buckets)
+        assert storage.raw_path(0) == [b""] * (small_config.levels + 1)
+
+
+class TestMemoTablesStayOutOfSnapshots:
+    @pytest.mark.parametrize("make", [PlainTreeStorage, FlatTreeStorage])
+    def test_pickle_drops_path_tables_and_restores_them_empty(self, small_config, make):
+        storage = make(small_config)
+        storage.write_path_levels(3, [[Block(address=1, leaf=3)]] + [None] * small_config.levels)
+        first = storage.read_path_blocks(3)
+        assert storage._path_cache
+        state = pickle.dumps(storage)
+        assert b"_path_cache" not in state and b"_base_cache" not in state
+        restored = pickle.loads(state)
+        assert restored._path_cache == {}
+        assert restored.read_path_blocks(3) == first
+        assert restored.path(3) == storage.path(3)
+
+
+class TestBucketLengthLeak:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a dummy slot is 21 bytes and a real one 21 + payload bytes, so a bucket's "
+        "ciphertext length reveals how many real blocks it holds (ROADMAP: fixed-size slots)",
+    )
+    @pytest.mark.parametrize("payload", ["int", "bytes"])
+    @pytest.mark.parametrize("storage", ["encrypted", "integrity"])
+    def test_bucket_length_is_independent_of_occupancy(self, storage, payload):
+        # Section 2.2 fixes the bucket size at M = Z(L + U + B) + 64 bits so
+        # that an observer learns nothing from it.
+        config = ORAMConfig(working_set_blocks=256, block_bytes=64)
+        oram = open_oram(OramSpec(protocol="flat", storage=storage), config, seed=3)
+        for address in range(1, 257):
+            oram.write(address, address if payload == "int" else bytes(64))
+        device = oram.storage if storage == "encrypted" else oram.storage.inner
+        raw = [device.raw_bucket(index) for index in range(config.num_buckets)]
+        assert len({len(ciphertext) for ciphertext in raw if ciphertext}) == 1

@@ -1,6 +1,7 @@
 """Fault injection: storage faults must be caught, process faults retried."""
 
 import glob
+import hashlib
 import os
 import random
 
@@ -43,6 +44,23 @@ class TestFaultInjector:
         assert wrapped.stats.fingerprint() == plain.stats.fingerprint()
         assert injector.injected == [] and injector.pending == 0
         assert injector.read_ops > 0 and injector.write_ops > 0
+
+    def test_no_faults_keeps_every_ciphertext_byte_and_root(self):
+        # The injector sits on the one path write the integrity layer
+        # makes, and passes its read-back through uncounted.
+        digests = []
+        for wrap in (None, FaultInjector):
+            oram, injector = _faulty_stack(wrap)
+            _run(oram)
+            storage = oram.storage
+            digest = hashlib.sha256()
+            for index in range(oram.config.num_buckets):
+                digest.update(storage.inner.raw_bucket(index) or b"-")
+            digest.update(storage.authenticator.root_hash)
+            digests.append(digest.hexdigest())
+        assert digests[0] == digests[1]
+        assert injector.write_ops == oram.stats.path_writes
+        assert injector.read_ops == oram.stats.path_reads
 
     @pytest.mark.parametrize(
         "kwargs",

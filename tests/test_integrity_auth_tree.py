@@ -13,7 +13,7 @@ from repro import backends
 from repro.api import OramSpec, open_oram
 from repro.core.config import HierarchyConfig, ORAMConfig
 from repro.core.path_oram import PathORAM
-from repro.core.tree import EncryptedTreeStorage, path_indices
+from repro.core.tree import EncryptedTreeStorage, TreeStorage, path_indices
 from repro.core.types import Block
 from repro.crypto.bucket_encryption import CounterBucketCipher
 from repro.crypto.keys import ProcessorKey
@@ -26,12 +26,12 @@ from repro.integrity.storage import IntegrityVerifiedStorage
 #: the pickled snapshot, and each level's hash-traffic counters.  The
 #: default bucket pads are format v2 (``shake256``).
 GOLDEN_CIPHERTEXT_AND_ROOTS = "861794be0dd401e72cfadc390f7830d659132fabdbd67a4ac6e2ff012390c299"
-GOLDEN_SNAPSHOT = "7d295c40e955a54495acd3bcb614e1abfc3f8ebe9da0db2a7ec02b2b7ce025ce"
+GOLDEN_SNAPSHOT = "5c1d8eef0302dc9f801c7743db02e67219806f2db9cff0ac357c8e3b3f57cc2f"
 #: The same run with pad format v1 (``sha256``) ciphers: the digests every
 #: build before v2 produced, so a v1 checkpoint is byte-identical to one
 #: taken by those builds.
 GOLDEN_CIPHERTEXT_AND_ROOTS_V1 = "f8b55caacf004fca9deaad9e8f6e80fb4eb1ae6c43d9fec4d6eccf4462cf6493"
-GOLDEN_SNAPSHOT_V1 = "41749e1dfa2f3eeba77bd7c0b0ed78bf31a783bd5be429424c92e4122a5d972a"
+GOLDEN_SNAPSHOT_V1 = "adee95b28b0ea29b359460c5a8f1038b9740cdd12b8b8b9e3156f1e1cd68b553"
 GOLDEN_AUTH_COUNTERS = [
     AuthCounters(sibling_hashes_read=1078, hashes_written=1078, verifications=154, updates=154),
     AuthCounters(sibling_hashes_read=308, hashes_written=308, verifications=154, updates=154),
@@ -286,6 +286,31 @@ class TestSeededSecureRunIsBitExact:
         assert hashlib.sha256(snapshot).hexdigest() == GOLDEN_SNAPSHOT_V1
         counters = [level.storage.authenticator.counters for level in oram.orams]
         assert counters == GOLDEN_AUTH_COUNTERS
+
+    def test_snapshot_leaves_out_memoised_path_tables(self):
+        oram = _seeded_secure_run()
+        assert all(level.storage.inner._path_cache for level in oram.orams)
+        assert b"_path_cache" not in oram.snapshot()["state"]
+
+    def test_checkpoint_carrying_path_tables_restores_bit_identically(self, monkeypatch):
+        # Builds before the path tables left snapshots pickled them (and the
+        # authenticator's unused ``_written`` list); such a checkpoint must
+        # restore under the same envelope version and run on identically.
+        oram = _seeded_secure_run()
+        for level in oram.orams:
+            level.storage.authenticator._written = [True] * level.config.num_buckets
+        with monkeypatch.context() as patch:
+            patch.setattr(TreeStorage, "__getstate__", lambda self: self.__dict__.copy())
+            snapshot = oram.snapshot()
+        assert b"_path_cache" in snapshot["state"]
+        restored = backends.restore_oram(snapshot)
+        for running in (oram, restored):
+            for address in range(1, 40):
+                running.write(address, bytes([address]) * 32)
+            assert running.read(7).data == bytes([7]) * 32
+        assert _ciphertext_and_roots_digest(restored) == _ciphertext_and_roots_digest(oram)
+        restored_counters = [level.storage.authenticator.counters for level in restored.orams]
+        assert restored_counters == [level.storage.authenticator.counters for level in oram.orams]
 
     def test_v1_checkpoint_restores_and_keeps_v1_pads(self, v1_pads, monkeypatch):
         oram = _seeded_secure_run()
